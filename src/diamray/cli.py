@@ -239,6 +239,8 @@ def _cmd_degen(args) -> int:
                 "excess": res.value - diam,
                 "feasibility_error": res.feasibility_error,
                 "restart_values": list(res.restart_values),
+                "evaluations": res.evaluations,
+                "gradients": res.gradients,
                 "simplex": res.simplex.to_json(),
             }, args.output)
         else:

@@ -4,10 +4,13 @@ A set is t-degenerate at an anchor point when every regular t-simplex of
 side diam(P) through that point strictly increases the diameter of the
 union. The optimizer searches over placements of the t free simplex
 vertices for the smallest achievable union diameter: placements are
-parametrized by an orthonormal frame (Gram-Schmidt of a free matrix), so
-the simplex constraints hold to machine precision by construction, and the
-nonsmooth max objective is minimized through a softmax surrogate with an
-increasing sharpness schedule before the true maximum is reported.
+parametrized by an orthonormal frame (the QR factor of a free matrix, signs
+fixed so diag(R) > 0), so the simplex constraints hold to machine precision
+by construction. The nonsmooth max objective is minimized through a softmax
+surrogate with an increasing sharpness schedule, by L-BFGS-B on its
+closed-form gradient (the softmax weights pulled back through the QR map),
+and a Nelder-Mead polish on the true maximum gives the reported value. The
+far-pair adversary shares the same multi-start routine.
 
 SUPPORTED verdicts are evidence with a safety margin, not proofs; REFUTED
 verdicts exhibit an explicit placement.
@@ -72,6 +75,9 @@ class ExtensionResult:
     simplex: PointSet
     restart_values: tuple
     feasibility_error: float
+    # surrogate and polish evaluations, and gradients, over all restarts
+    evaluations: int = 0
+    gradients: int = 0
 
 
 def _anchored_frame(t: int, side: float) -> np.ndarray:
@@ -83,24 +89,92 @@ def _anchored_frame(t: int, side: float) -> np.ndarray:
     return pts[1:] - pts[0]
 
 
-def _orthonormal(A: np.ndarray) -> np.ndarray:
-    # modified Gram-Schmidt: unlike QR it has no sign gauge, so the map
-    # A -> Q stays continuous along optimizer trajectories
-    m, t = A.shape
-    Q = np.empty_like(A)
-    for i in range(t):
-        v = A[:, i].astype(float).copy()
-        for j in range(i):
-            v -= (v @ Q[:, j]) * Q[:, j]
-        n = np.linalg.norm(v)
-        if n < 1e-12:
-            v = np.zeros(m)
-            v[i % m] = 1.0
-            for j in range(i):
-                v -= (v @ Q[:, j]) * Q[:, j]
-            n = np.linalg.norm(v)
-        Q[:, i] = v / n
-    return Q
+def _frame(A: np.ndarray) -> tuple:
+    """Q, R of A = QR with diag(R) > 0.
+
+    The columns of Q are the Gram-Schmidt frame of A's columns; fixing the
+    signs of diag(R) makes A -> Q continuous along optimizer trajectories.
+    """
+    Q, R = np.linalg.qr(A)
+    signs = np.where(np.diagonal(R) < 0.0, -1.0, 1.0)
+    return Q * signs, R * signs[:, None]
+
+
+def _frame_pullback(Q: np.ndarray, R: np.ndarray,
+                    Q_bar: np.ndarray) -> np.ndarray:
+    """Gradient in A of a function of Q = _frame(A)[0], given its gradient
+    Q_bar in Q: (Q_bar + Q copyltu(M)) R^-T with M = -Q_bar^T Q, where
+    copyltu(M) mirrors M's strict lower triangle onto its upper one."""
+    M = -Q_bar.T @ Q
+    L = np.tril(M)
+    X = Q_bar + Q @ (L + L.T - np.diag(np.diagonal(M)))
+    return np.linalg.solve(R, X.T).T
+
+
+def _multistart(value_and_grad, m: int, t: int, restarts: int,
+                rng: np.random.Generator) -> tuple:
+    """Minimize a softmax surrogate over m x t free matrices from random starts.
+
+    value_and_grad(A, beta) returns the surrogate at sharpness beta and its
+    gradient in A. Each restart draws A from rng.standard_normal(m * t) and
+    runs L-BFGS-B through the _BETAS schedule. Returns the final matrix of
+    every restart, in order, and the number of surrogate calls (each one
+    value and one gradient).
+    """
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
+    calls = 0
+
+    def flat(a, beta):
+        nonlocal calls
+        calls += 1
+        value, grad = value_and_grad(a.reshape(m, t), beta)
+        return value, grad.ravel()
+
+    finals = []
+    for _ in range(restarts):
+        x = rng.standard_normal(m * t)
+        for beta in _BETAS:
+            x = minimize(flat, x, args=(beta,), jac=True, method="L-BFGS-B",
+                         options={"maxiter": 300}).x
+        finals.append(x.reshape(m, t))
+    return finals, calls
+
+
+class _ExtensionObjective:
+    """Placement, true value and softmax surrogate of an ExtensionProblem."""
+
+    def __init__(self, prob: ExtensionProblem):
+        self.base = np.zeros((len(prob.base), prob.ambient_dim))
+        self.base[:, :prob.base.dim] = prob.base.as_array()
+        self.anchor = self.base[prob.anchor]
+        self.side = prob.side
+        self.frame = _anchored_frame(prob.t, prob.side)  # (t, t)
+        self.floor = max(prob.side, diameter(prob.base).value)
+
+    def placement(self, A: np.ndarray) -> np.ndarray:
+        """Free simplex vertices (t, m) for the frame of A."""
+        return self.anchor + self.frame @ _frame(A)[0].T
+
+    def true_value(self, V: np.ndarray) -> float:
+        """Diameter of the base union the anchored simplex with vertices V."""
+        diff = V[:, None, :] - self.base[None, :, :]
+        return max(self.floor, float(np.sqrt((diff * diff).sum(axis=2)).max()))
+
+    def surrogate(self, A: np.ndarray, beta: float) -> tuple:
+        """Softmax of the simplex-to-base distances and its gradient in A."""
+        Q, R = _frame(A)
+        V = self.anchor + self.frame @ Q.T
+        diff = V[:, None, :] - self.base[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=2))  # (t, n)
+        scale = beta / max(self.side, 1e-12)
+        top = d.max()
+        e = np.exp(scale * (d - top))
+        total = e.sum()
+        # d/dV_i = sum_j w_ij (V_i - B_j) / d_ij with softmax weights w
+        coef = np.divide(e / total, d, out=np.zeros_like(d), where=d > 0)
+        G = (coef[:, :, None] * diff).sum(axis=1)  # (t, m)
+        return top + np.log(total) / scale, _frame_pullback(Q, R, G.T @ self.frame)
 
 
 def min_extension_diameter(prob: ExtensionProblem,
@@ -112,68 +186,41 @@ def min_extension_diameter(prob: ExtensionProblem,
     the true minimum and never drops below diam(base). The placement is
     feasible to machine precision by the frame parametrization.
     """
-    base = np.zeros((len(prob.base), prob.ambient_dim))
-    base[:, :prob.base.dim] = prob.base.as_array()
-    anchor = base[prob.anchor]
-    side = prob.side
-    t = prob.t
-    frame = _anchored_frame(t, side)  # (t, t)
-    base_diam = diameter(prob.base).value
-
-    def placement(A_flat: np.ndarray) -> np.ndarray:
-        Q = _orthonormal(A_flat.reshape(prob.ambient_dim, t))
-        return anchor + frame @ Q.T
-
-    def dists(V: np.ndarray) -> np.ndarray:
-        diff = V[:, None, :] - base[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=2)).ravel()
-
-    def true_value(V: np.ndarray) -> float:
-        return max(side, base_diam, float(dists(V).max()))
-
-    rng = np.random.default_rng(seed)
+    m, t = prob.ambient_dim, prob.t
+    obj = _ExtensionObjective(prob)
+    finals, calls = _multistart(obj.surrogate, m, t, restarts,
+                                np.random.default_rng(seed))
     best_val = np.inf
     best_x = None
     values = []
-    for _ in range(restarts):
-        x = rng.standard_normal(prob.ambient_dim * t)
-        for beta in _BETAS:
-            scale = beta / max(side, 1e-12)
-
-            def surrogate(a):
-                d = dists(placement(a))
-                m = d.max()
-                return m + np.log(np.exp(scale * (d - m)).sum()) / scale
-
-            res = minimize(surrogate, x, method="L-BFGS-B",
-                           options={"maxiter": 300})
-            x = res.x
-        val = true_value(placement(x))
+    for A in finals:
+        val = obj.true_value(obj.placement(A))
         values.append(val)
         if val < best_val:
             best_val = val
-            best_x = x
+            best_x = A.ravel()
     if best_x is None or not np.isfinite(best_val):
         raise RuntimeError(
             f"optimizer failed on all {restarts} restarts: values={values[:5]}")
 
     # the softmax stages leave an O(1/beta) bias; polish the best restart on
     # the true nonsmooth objective
-    polish = minimize(lambda a: true_value(placement(a)), best_x,
-                      method="Nelder-Mead",
+    polish = minimize(lambda a: obj.true_value(obj.placement(a.reshape(m, t))),
+                      best_x, method="Nelder-Mead",
                       options={"maxiter": 4000, "fatol": 1e-12, "xatol": 1e-12})
     if polish.fun <= best_val:
         best_val = float(polish.fun)
         best_x = polish.x
-    best_V = placement(best_x)
+    best_V = obj.placement(best_x.reshape(m, t))
 
     feas = 0.0
-    pts = np.vstack([anchor, best_V])
+    pts = np.vstack([obj.anchor, best_V])
     for i in range(t + 1):
         for j in range(i + 1, t + 1):
-            feas = max(feas, abs(float(np.linalg.norm(pts[i] - pts[j])) - side))
+            feas = max(feas, abs(float(np.linalg.norm(pts[i] - pts[j])) - prob.side))
     simplex = PointSet.from_floats(pts)
-    return ExtensionResult(best_val, simplex, tuple(values), feas)
+    return ExtensionResult(best_val, simplex, tuple(values), feas,
+                           evaluations=calls + polish.nfev, gradients=calls)
 
 
 def degeneracy_evidence(P: PointSet, t: int, margin: float = SUPPORT_MARGIN,
@@ -318,6 +365,25 @@ def far_pair_witness(tetra_points, tol: float = 1e-9):
     return i, j, float(first6[i, j])
 
 
+def _adversary_surrogate(frame: np.ndarray):
+    """Negated softmin of the first six coordinates of the tetrahedron
+    frame @ Q^T, and its gradient in A, where Q = _frame(A)[0]."""
+
+    def surrogate(A: np.ndarray, beta: float) -> tuple:
+        Q, R = _frame(A)
+        V = frame @ Q.T
+        v = V[:, :6]
+        low = v.min()
+        e = np.exp(-beta * (v - low))
+        total = e.sum()
+        # the softmin's gradient in v is softmax(-beta v)
+        G = np.zeros_like(V)
+        G[:, :6] = -e / total
+        return -(low - np.log(total) / beta), _frame_pullback(Q, R, G.T @ frame)
+
+    return surrogate
+
+
 def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0,
                        dim: int = 9) -> dict:
     """Adversarial search maximizing the smallest of the first six coordinates.
@@ -331,33 +397,14 @@ def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     if dim < 6:
         raise ValueError("need ambient dimension >= 6")
     frame = _anchored_frame(3, sqrt(2.0))
-
-    def placement(A_flat: np.ndarray) -> np.ndarray:
-        Q = _orthonormal(A_flat.reshape(dim, 3))
-        return frame @ Q.T
-
-    def true_minimum(V: np.ndarray) -> float:
-        return float(V[:, :6].min())
-
-    rng = np.random.default_rng(seed)
+    finals, calls = _multistart(_adversary_surrogate(frame), dim, 3,
+                                restarts, np.random.default_rng(seed))
     best_val = -np.inf
     best_V = None
     values = []
-    for _ in range(restarts):
-        x = rng.standard_normal(dim * 3)
-        for beta in _BETAS:
-
-            def surrogate(a):
-                v = placement(a)[:, :6].ravel()
-                m = v.min()
-                # smooth minimum, negated for the minimizer
-                return -(m - np.log(np.exp(-beta * (v - m)).sum()) / beta)
-
-            res = minimize(surrogate, x, method="L-BFGS-B",
-                           options={"maxiter": 300})
-            x = res.x
-        V = placement(x)
-        val = true_minimum(V)
+    for A in finals:
+        V = frame @ _frame(A)[0].T
+        val = float(V[:, :6].min())
         values.append(val)
         if val > best_val:
             best_val = val
@@ -368,4 +415,6 @@ def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0,
         "best_max_min": best_val,
         "restart_values": tuple(values),
         "points": best_V.tolist(),
+        "evaluations": calls,
+        "gradients": calls,
     }

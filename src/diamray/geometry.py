@@ -200,15 +200,40 @@ class SqDistMatrix:
                         raise AssertionError(f"triangle inequality fails at {i},{j},{k}")
 
 
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _int64_gram_array(points):
+    """The integer points as int64, translated into [0, w]^dim, or None when
+    the int64 Gram expansion of them might not be exact.
+
+    After the translation by -min no intermediate of |a|^2 + |b|^2 - 2 a.b
+    exceeds 2 * dim * w^2, which is checked against 2^63 in Python ints.
+    """
+    try:
+        A = np.array(points)
+    except OverflowError:
+        return None
+    # Fractions and ints past int64 give another dtype
+    if A.dtype != np.int64:
+        return None
+    lo, hi = int(A.min()), int(A.max())
+    if 2 * A.shape[1] * (hi - lo) ** 2 > _INT64_MAX:
+        return None
+    if lo:
+        A -= lo
+    return A
+
+
 def sq_dist_matrix(P: PointSet) -> SqDistMatrix:
     """Squared-distance matrix of a point set; exact when the mode is exact."""
     n = len(P)
-    if P.is_exact and all(isinstance(x, int) for p in P.points for x in p):
-        # integer fast path: Gram expansion in int64 stays exact
-        A = np.array(P.points, dtype=np.int64)
+    A = _int64_gram_array(P.points) if P.is_exact else None
+    if A is not None:
+        # integer fast path: the Gram expansion in int64 stays exact
         norms = (A * A).sum(axis=1)
         D = norms[:, None] + norms[None, :] - 2 * (A @ A.T)
-        entries = tuple(tuple(int(x) for x in row) for row in D)
+        entries = tuple(map(tuple, D.tolist()))
         return SqDistMatrix(entries, exact=True, tolerance=P.tolerance)
     if P.is_exact:
         rows = []
@@ -221,7 +246,7 @@ def sq_dist_matrix(P: PointSet) -> SqDistMatrix:
     D = np.maximum(D, 0.0)
     D = (D + D.T) / 2.0
     np.fill_diagonal(D, 0.0)
-    entries = tuple(tuple(float(x) for x in row) for row in D)
+    entries = tuple(map(tuple, D.tolist()))
     return SqDistMatrix(entries, exact=False, tolerance=P.tolerance)
 
 

@@ -123,6 +123,29 @@ def test_degen_cli(tmp_path, capsys):
     assert code == 0 and doc["overall"] == "degenerate-evidence"
 
 
+def test_degen_cli_reports_optimizer_counts(tmp_path, capsys):
+    tri = tmp_path / "tri.json"
+    from diamray import isosceles_apex_triangle
+    tri.write_text(json.dumps(isosceles_apex_triangle(160.0).to_json()))
+    code, doc = _run(capsys, "degen", "--input", str(tri), "-t", "1",
+                     "--anchor", "0", "--restarts", "2", "--seed", "1")
+    assert code == 0
+    # one gradient per surrogate call; the polish adds value-only calls
+    assert doc["evaluations"] > doc["gradients"] > 0
+
+
+def test_degen_cli_rejects_zero_restarts(tmp_path, capsys):
+    tri = tmp_path / "tri.json"
+    from diamray import isosceles_apex_triangle
+    tri.write_text(json.dumps(isosceles_apex_triangle(160.0).to_json()))
+    for extra in (["--anchor", "0"], []):
+        code = main(["degen", "--input", str(tri), "-t", "1",
+                     "--restarts", "0", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "restarts" in captured.err and captured.out == ""
+
+
 def test_t5_witness_cli(capsys):
     code, doc = _run(capsys, "t5-witness", "--trials", "100", "--seed", "2")
     assert code == 0 and doc["failures"] == 0

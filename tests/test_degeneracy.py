@@ -191,3 +191,100 @@ def test_apex_angle_boundary_witness():
         <= p1q + 1e-12
     assert p1q <= float(np.linalg.norm(pts[1] - pts[2])) + 1e-12
     assert angle_at(*tri.points) == pytest.approx(150.0, abs=1e-9)
+
+
+def _central_difference(f, A, h=1e-6):
+    grad = np.zeros_like(A)
+    for idx in np.ndindex(A.shape):
+        step = np.zeros_like(A)
+        step[idx] = h
+        grad[idx] = (f(A + step) - f(A - step)) / (2.0 * h)
+    return grad
+
+
+@pytest.mark.parametrize("beta", [4.0, 256.0])
+def test_surrogate_gradients_match_central_differences(beta):
+    from diamray.degeneracy import (
+        _adversary_surrogate,
+        _anchored_frame,
+        _ExtensionObjective,
+    )
+
+    rng = np.random.default_rng(12)
+    surrogates = [
+        (_ExtensionObjective(extension_problem(cube_corner_set(), 0, 3)).surrogate,
+         (9, 3)),
+        (_ExtensionObjective(extension_problem(
+            isosceles_apex_triangle(160.0), 0, 1)).surrogate, (3, 1)),
+        (_adversary_surrogate(_anchored_frame(3, sqrt(2.0))), (9, 3)),
+    ]
+    for surrogate, shape in surrogates:
+        for _ in range(3):
+            A = rng.standard_normal(shape)
+            _, grad = surrogate(A, beta)
+            want = _central_difference(lambda a: surrogate(a, beta)[0], A)
+            assert np.abs(grad - want).max() <= 1e-7
+
+
+def test_qr_frame_is_the_gram_schmidt_frame():
+    from diamray.degeneracy import _frame
+
+    rng = np.random.default_rng(13)
+    for shape in ((9, 3), (12, 3), (3, 1)):
+        A = rng.standard_normal(shape)
+        Q, R = _frame(A)
+        assert np.all(np.diagonal(R) > 0)
+        assert np.abs(Q @ R - A).max() <= 1e-12
+        # classical Gram-Schmidt, column by column
+        G = np.zeros(shape)
+        for i in range(shape[1]):
+            v = A[:, i] - G[:, :i] @ (G[:, :i].T @ A[:, i])
+            G[:, i] = v / np.linalg.norm(v)
+        assert np.abs(Q - G).max() <= 1e-12
+
+
+def test_closed_form_corner_star_optima():
+    # the adversary's optimum is sqrt(2)/3; squared extension = 3 - 2 * it
+    rep = far_pair_adversary(restarts=RESTARTS, seed=5)
+    assert rep["best_max_min"] == pytest.approx(sqrt(2.0) / 3.0, abs=1e-5)
+    res = min_extension_diameter(extension_problem(cube_corner_set(), 0, 3),
+                                 restarts=RESTARTS, seed=3)
+    assert res.value == pytest.approx(sqrt(3.0 - 2.0 * sqrt(2.0) / 3.0), abs=1e-5)
+
+
+def test_feasibility_error_at_machine_precision():
+    star = cube_corner_set()
+    for dim in (7, 8, 9, 12):
+        res = min_extension_diameter(
+            extension_problem(star, 0, 3, ambient_dim=dim), restarts=2, seed=4)
+        assert res.feasibility_error <= 1e-12
+
+
+def test_apex_160_invariant_under_rigid_motion():
+    tri = isosceles_apex_triangle(160.0)
+    ref = min_extension_diameter(extension_problem(tri, 0, 1),
+                                 restarts=RESTARTS, seed=0).value
+    angle = radians(37.0)
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    moved = PointSet.from_floats(tri.as_array() @ rot.T + np.array([3.5, -1.25]))
+    res = min_extension_diameter(extension_problem(moved, 0, 1),
+                                 restarts=RESTARTS, seed=0)
+    assert res.value == pytest.approx(ref, abs=1e-6)
+
+
+def test_optimizer_counts():
+    prob = extension_problem(isosceles_apex_triangle(160.0), 0, 1)
+    res = min_extension_diameter(prob, restarts=3, seed=0)
+    # every L-BFGS-B call computes a gradient; the polish adds value-only ones
+    assert res.evaluations > res.gradients >= 3 * 4
+    rep = far_pair_adversary(restarts=3, seed=0)
+    assert rep["evaluations"] == rep["gradients"] >= 3 * 4
+
+
+def test_zero_restarts_rejected():
+    with pytest.raises(ValueError, match="restarts"):
+        far_pair_adversary(restarts=0)
+    with pytest.raises(ValueError, match="restarts"):
+        min_extension_diameter(extension_problem(cube_corner_set(), 0, 3),
+                               restarts=0)

@@ -266,3 +266,35 @@ def test_congruence_matches_brute_force_on_lattice_sets():
         assert got == want
         hits += want
     assert 0 < hits < 40  # the corpus saw both outcomes
+
+
+def test_exact_diameter_past_int64():
+    # the Gram expansion's 2^64 terms must not wrap in a fixed-width path
+    info = diameter(PointSet.exact([[0, 0], [2 ** 31, 0], [0, 2 ** 32]]))
+    assert info.sq == 2 ** 62 + 2 ** 64 == 23058430092136939520
+    assert info.pairs == ((1, 2),)
+
+
+def test_exact_diameter_coordinates_beyond_int64():
+    big = PointSet.exact([[2 ** 63, 0], [2 ** 64, 1], [2 ** 70 + 3, 4]])
+    want = max((a - c) ** 2 + (b - d) ** 2
+               for (a, b), (c, d) in combinations(big.points, 2))
+    assert diameter(big).sq == want
+    # huge but close points: translation-invariant, small exact answer
+    near = PointSet.exact([[2 ** 70, -2 ** 70], [2 ** 70 + 3, 4 - 2 ** 70]])
+    assert diameter(near).sq == 25
+
+
+def test_int64_path_matches_python_ints_near_the_bound():
+    from diamray.geometry import _int64_gram_array
+
+    # 2 * dim * w^2 < 2^63 holds up to w = 1518500249 in the plane
+    for w, fast in ((1518500249, True), (1518500250, False)):
+        for shift in (0, -2 ** 62, 2 ** 62 - 2 * w, 2 ** 70):
+            pts = [(shift, shift), (shift + w, shift), (shift, shift + w),
+                   (shift + w // 3, shift + w)]
+            assert (_int64_gram_array(pts) is not None) == (fast and shift < 2 ** 63)
+            want = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts]
+                    for p in pts]
+            got = sq_dist_matrix(PointSet.exact(pts)).entries
+            assert [list(r) for r in got] == want
