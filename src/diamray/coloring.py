@@ -46,6 +46,13 @@ def colorable(H: Hypergraph, num_colors: int) -> Coloring | None:
     (an edge monochromatic except for one later vertex forbids that color
     there) only prunes branches without proper completions, so the first
     coloring found is still the global lexicographic minimum.
+
+    Forward checking alone also keeps every edge from completing
+    monochromatic. An edge is checked when its second-largest vertex gets
+    a color c: if the rest of the edge already has color c, c becomes
+    forbidden at the edge's largest vertex until that assignment is undone.
+    So the largest vertex can never close the edge in one color, and no
+    check is needed there.
     """
     if num_colors < 0:
         raise ValueError("number of colors must be nonnegative")
@@ -57,59 +64,51 @@ def colorable(H: Hypergraph, num_colors: int) -> Coloring | None:
     if any(len(e) == 1 for e in H.edges):
         return None
 
-    # an edge completes at its largest vertex and starts forcing at its
-    # second largest
-    finishing = [[] for _ in range(n)]
-    forcing = [[] for _ in range(n)]
+    # an edge starts forcing at its second largest vertex. Vertex sets are
+    # bitsets: forcing[v] maps the rest of each such edge to the largest
+    # vertices it forces, members[c] holds the vertices colored c and
+    # forbidden[c] those where c is forbidden
+    forcing = [{} for _ in range(n)]
     for e in H.edges:
-        finishing[e[-1]].append(e[:-1])
-        forcing[e[-2]].append((e[:-2], e[-1]))
+        rest = 0
+        for u in e[:-2]:
+            rest |= 1 << u
+        group = forcing[e[-2]]
+        group[rest] = group.get(rest, 0) | 1 << e[-1]
+    forcing = [tuple(group.items()) for group in forcing]
 
     colors = [0] * n
-    forbidden = [[0] * num_colors for _ in range(n)]
-    all_colors = range(num_colors)
+    members = [0] * num_colors
+    forbidden = [0] * num_colors
+    others = [[x for x in range(num_colors) if x != c] for c in range(num_colors)]
 
     def dfs(v: int, used: int) -> bool:
         if v == n:
             return True
-        cap = min(used, num_colors - 1)
-        forb_v = forbidden[v]
-        for c in range(cap + 1):
-            if forb_v[c]:
+        bit = 1 << v
+        for c in range(min(used, num_colors - 1) + 1):
+            forb = forbidden[c]
+            if forb & bit:
                 continue
-            ok = True
-            for rest in finishing[v]:
-                mono = True
-                for u in rest:
-                    if colors[u] != c:
-                        mono = False
-                        break
-                if mono:
-                    ok = False
-                    break
-            if not ok:
+            mem = members[c]
+            forced = 0
+            for rest, lasts in forcing[v]:
+                if rest & mem == rest:
+                    forced |= lasts
+            # a vertex newly denied c is dead if every other color is denied
+            dead = forced & ~forb
+            if dead:
+                for x in others[c]:
+                    dead &= forbidden[x]
+            if dead:
                 continue
-            pushed = []
-            dead = False
-            for rest, last in forcing[v]:
-                mono = True
-                for u in rest:
-                    if colors[u] != c:
-                        mono = False
-                        break
-                if mono:
-                    row = forbidden[last]
-                    row[c] += 1
-                    pushed.append(row)
-                    if row[c] == 1 and all(row[x] for x in all_colors):
-                        dead = True
-                        break
-            if not dead:
-                colors[v] = c
-                if dfs(v + 1, max(used, c + 1)):
-                    return True
-            for row in pushed:
-                row[c] -= 1
+            colors[v] = c
+            members[c] = mem | bit
+            forbidden[c] = forb | forced
+            if dfs(v + 1, max(used, c + 1)):
+                return True
+            members[c] = mem
+            forbidden[c] = forb
         return False
 
     if dfs(0, 0):

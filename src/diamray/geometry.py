@@ -269,22 +269,36 @@ def diameter(P: PointSet) -> DiameterInfo:
     n = len(P)
     if n == 1:
         return DiameterInfo(0.0, 0 if P.is_exact else 0.0, ())
-    M = sq_dist_matrix(P)
-    best = max(M.entries[i][j] for i in range(n) for j in range(i + 1, n))
+    M = sq_dist_matrix(P).entries
     pairs = []
     near = []
     if P.is_exact:
-        for i in range(n):
+        # one scan: a new maximum restarts the list of pairs
+        best = M[0][1]
+        for i in range(n - 1):
+            row = M[i]
             for j in range(i + 1, n):
-                if M.entries[i][j] == best:
+                x = row[j]
+                if x > best:
+                    best = x
+                    pairs = [(i, j)]
+                elif x == best:
                     pairs.append((i, j))
     else:
+        # the thresholds need the maximum first: take each row's maximum in
+        # C, then scan only rows whose maximum reaches the near-miss
+        # threshold (sqrt is monotone, so the other rows hold no candidate)
+        tails = [M[i][i + 1:] for i in range(n - 1)]
+        tops = list(map(max, tails))
+        best = max(tops)
         dmax = sqrt(float(best))
         lo = dmax * (1.0 - P.tolerance)
         lo_near = dmax * (1.0 - 10.0 * P.tolerance)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = sqrt(M.entries[i][j])
+        for i, tail in enumerate(tails):
+            if sqrt(tops[i]) < lo_near:
+                continue
+            for j, x in enumerate(tail, i + 1):
+                d = sqrt(x)
                 if d >= lo:
                     pairs.append((i, j))
                 elif d >= lo_near:

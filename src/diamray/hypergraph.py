@@ -9,7 +9,8 @@ results are canonical regardless of enumeration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from operator import itemgetter, lt
 
 from .constructions import kahn_kalai_blocks, kahn_kalai_set
 from .geometry import PointSet, diameter
@@ -24,24 +25,47 @@ class Hypergraph:
     uniformity: int | None = None
 
     def __post_init__(self):
-        seen = set()
-        for e in self.edges:
-            if not e:
-                raise ValueError("empty hyperedge")
-            if list(e) != sorted(set(e)):
-                raise ValueError(f"edge {e} is not strictly sorted")
-            if e[0] < 0 or e[-1] >= self.n_vertices:
-                raise ValueError(f"edge {e} leaves the vertex range")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            if self.uniformity is not None and len(e) != self.uniformity:
-                raise ValueError(f"edge {e} breaks {self.uniformity}-uniformity")
+        # each check is a C-level pass over the edges; the offending edge is
+        # looked up only when a check fails
+        n, edges = self.n_vertices, self.edges
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
+        lengths = set(map(len, edges))
+        if 0 in lengths:
+            raise ValueError("empty hyperedge")
+        if self.uniformity is not None and lengths - {self.uniformity}:
+            bad = next(e for e in edges if len(e) != self.uniformity)
+            raise ValueError(f"edge {bad} breaks {self.uniformity}-uniformity")
+        if not _strictly_sorted(edges, lengths):
+            bad = next(e for e in edges if list(e) != sorted(set(e)))
+            raise ValueError(f"edge {bad} is not strictly sorted")
+        if edges and (min(map(itemgetter(0), edges)) < 0
+                      or max(map(itemgetter(-1), edges)) >= n):
+            bad = next(e for e in edges if e[0] < 0 or e[-1] >= n)
+            raise ValueError(f"edge {bad} leaves the vertex range")
+        # strictly increasing lex order rules out duplicates by itself
+        if not _lex_increasing(edges) and len(set(edges)) < len(edges):
+            seen = set()
+            for e in edges:
+                if e in seen:
+                    raise ValueError(f"duplicate edge {e}")
+                seen.add(e)
 
     @classmethod
     def make(cls, n_vertices: int, edges, uniformity: int | None = None) -> "Hypergraph":
-        canon = sorted({tuple(sorted(set(e))) for e in edges})
-        return cls(n_vertices, tuple(canon), uniformity)
+        """Hypergraph on any edge list, in canonical form.
+
+        The vertices of each edge are sorted and deduplicated, then the
+        edges are sorted and deduplicated. A tuple of edges already in that
+        form is taken as it is.
+        """
+        edges = tuple(edges)
+        canonical = (set(map(type, edges)) <= {tuple}
+                     and _strictly_sorted(edges, set(map(len, edges)))
+                     and _lex_increasing(edges))
+        if not canonical:
+            edges = tuple(sorted({tuple(sorted(set(e))) for e in edges}))
+        return cls(n_vertices, edges, uniformity)
 
     @property
     def n_edges(self) -> int:
@@ -58,11 +82,39 @@ class Hypergraph:
     @classmethod
     def from_json(cls, doc: dict) -> "Hypergraph":
         try:
-            n = doc["n"]
-            edges = [tuple(int(v) for v in e) for e in doc["edges"]]
+            n = _json_int(doc["n"], "vertex count")
+            edges = [tuple(_json_int(v, "vertex id") for v in e) for e in doc["edges"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed hypergraph document: {exc}") from exc
-        return cls.make(int(n), edges, doc.get("r"))
+        r = doc.get("r")
+        return cls.make(n, edges, None if r is None else _json_int(r, "uniformity"))
+
+
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON: an int, or a float with an integral value."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def _strictly_sorted(edges, lengths) -> bool:
+    """True iff every edge lists strictly increasing vertices.
+
+    `lengths` is the set of edge lengths. Compares neighbouring positions
+    column by column, one group of equal-length edges at a time.
+    """
+    for k in lengths:
+        group = edges if len(lengths) == 1 else [e for e in edges if len(e) == k]
+        for i in range(k - 1):
+            if not all(map(lt, map(itemgetter(i), group),
+                           map(itemgetter(i + 1), group))):
+                return False
+    return True
+
+
+def _lex_increasing(edges) -> bool:
+    return all(map(lt, edges, islice(edges, 1, None)))
 
 
 def diameter_graph(P: PointSet) -> Hypergraph:
@@ -74,7 +126,11 @@ def diameter_graph(P: PointSet) -> Hypergraph:
 
 
 def _r_cliques(n: int, pair_edges, r: int) -> list:
-    """All r-cliques of a graph, via ordered extension over adjacency bitsets."""
+    """All r-cliques of a graph, via ordered extension over adjacency bitsets.
+
+    Each clique is a strictly increasing tuple and the list is in strictly
+    increasing lex order, which is the canonical order of Hypergraph.make.
+    """
     adj = [0] * n
     for i, j in pair_edges:
         adj[i] |= 1 << j
@@ -84,8 +140,13 @@ def _r_cliques(n: int, pair_edges, r: int) -> list:
 
     def extend(cand: int) -> None:
         need = r - len(stack)
-        if need == 0:
-            out.append(tuple(stack))
+        if need == 1:
+            # the last level: every candidate closes a clique
+            prefix = tuple(stack)
+            while cand:
+                low = cand & -cand
+                out.append((*prefix, low.bit_length() - 1))
+                cand ^= low
             return
         while cand:
             if cand.bit_count() < need:

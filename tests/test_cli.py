@@ -176,6 +176,13 @@ def test_malformed_values_exit_2(tmp_path, capsys):
     code = main(["chrom", "--input", str(path)])
     capsys.readouterr()
     assert code == 2
+    # neither truncated to an edge nor colored as an empty vertex set
+    for doc, word in (({"n": 3, "edges": [[0, 1.5]]}, "1.5"),
+                      ({"n": -2, "edges": []}, "negative")):
+        path.write_text(json.dumps(doc))
+        code = main(["chrom", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out and word in captured.err
     code = main(["t5-witness", "--trials", "1", "--dim", "3"])
     capsys.readouterr()
     assert code == 2

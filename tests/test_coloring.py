@@ -96,18 +96,24 @@ def test_partition_set_h3_regression():
 
 
 def test_witness_is_lexicographically_least():
-    rng = np.random.default_rng(31)
-    for _ in range(15):
-        n = int(rng.integers(4, 9))
-        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.45]
-        edges += [e for e in combinations(range(n), 3) if rng.random() < 0.15]
-        H = Hypergraph.make(n, edges)
-        for r in (2, 3):
-            got = colorable(H, r)
-            # oracle: canonical colorings enumerate in lexicographic order
-            want = next((Coloring(c) for c in _canonical_colorings(n, r)
-                         if is_proper(H, Coloring(c))), None)
-            assert got == want
+    # (seed, instances, n bound, edge probability per edge size, color counts)
+    corpora = [
+        (31, 15, 9, {2: 0.45, 3: 0.15}, (2, 3)),
+        (37, 40, 10, {2: 0.4, 3: 0.3, 4: 0.3}, (1, 2, 3, 4)),
+    ]
+    for seed, instances, n_bound, probs, color_counts in corpora:
+        rng = np.random.default_rng(seed)
+        for _ in range(instances):
+            n = int(rng.integers(4, n_bound))
+            edges = [e for size, p in probs.items()
+                     for e in combinations(range(n), size) if rng.random() < p]
+            H = Hypergraph.make(n, edges)
+            for r in color_counts:
+                got = colorable(H, r)
+                # oracle: canonical colorings enumerate in lexicographic order
+                want = next((Coloring(c) for c in _canonical_colorings(n, r)
+                             if is_proper(H, Coloring(c))), None)
+                assert got == want
 
 
 def test_decision_invariant_under_relabeling():

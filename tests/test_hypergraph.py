@@ -126,8 +126,9 @@ def test_r_cliques_against_brute_force():
         n = int(rng.integers(4, 11))
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
         adj = set(edges)
-        for r in (2, 3, 4):
-            got = sorted(_r_cliques(n, edges, r))
+        for r in (2, 3, 4, 5):
+            # the canonical order: strictly increasing tuples, lex-increasing
+            got = _r_cliques(n, edges, r)
             want = sorted(c for c in combinations(range(n), r)
                           if all(p in adj for p in combinations(c, 2)))
             assert got == want
@@ -144,6 +145,39 @@ def test_hypergraph_canonicalization_and_json():
         Hypergraph.make(3, [(0, 1), (1, 2)], uniformity=3)
     with pytest.raises(ValueError):
         Hypergraph(3, ((),))
+    # every fault is found whether or not the edges come in lex order
+    mixed = [(0, 3), (1, 2, 4), (2, 4)]
+    pairs = [(0, 3), (1, 4), (2, 4)]
+    cases = [
+        (mixed, (), None),          # empty edge
+        (mixed, (4, 1), None),      # unsorted edge
+        (mixed, (0, 4, 2), None),   # unsorted edge among mixed lengths
+        (mixed, (1, 1), None),      # repeated vertex
+        (mixed, (-1, 2), None),     # negative vertex
+        (mixed, (2, 5), None),      # vertex equal to n
+        (mixed, (1, 2, 4), None),   # duplicate edge
+        (pairs, (1, 2, 3), 2),      # broken uniformity
+        (pairs, (3,), 2),           # mixed edge lengths under uniformity
+    ]
+    for good, bad, r in cases:
+        for order in (sorted, lambda es: es[2:] + es[:2]):
+            Hypergraph(5, tuple(order(good)), r)
+            with pytest.raises(ValueError):
+                Hypergraph(5, tuple(order(good + [bad])), r)
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 3, "edges": [[0, 1.5]]},
+    {"n": 3, "edges": [[0, True]]},
+    {"n": 3, "edges": [[0, "1"]]},
+    {"n": 3.5, "edges": [[0, 1]]},
+    {"n": True, "edges": []},
+    {"n": -2, "edges": []},
+    {"n": 2, "r": True, "edges": [[0], [1]]},
+])
+def test_hypergraph_json_rejects_non_integers_and_negative_n(doc):
+    with pytest.raises(ValueError):
+        Hypergraph.from_json(doc)
 
 
 def test_diameter_hypergraph_argument_guards():
