@@ -3,7 +3,9 @@
 Everything downstream (diameter graphs, congruent-copy search, embedding
 certificates) works on squared pairwise distances, so this module keeps two
 arithmetic lanes: integer/Fraction coordinates whose squared distances are
-exact, and float coordinates compared with a scale-aware relative tolerance.
+exact, and float coordinates whose squared distances a, b match when
+|a - b| <= tol * max(a, b), a rule that does not depend on scale. Congruence
+and congruent-copy search share one backtracker over per-distance bitsets.
 All containers are frozen; every operation is a pure function.
 """
 
@@ -170,35 +172,6 @@ class SqDistMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
-
-    def validate_metric(self) -> None:
-        """Check zero diagonal, symmetry, nonnegativity, triangle inequality.
-
-        O(n^3); intended for tests and small inputs, not construction.
-        """
-        n = self.n
-        for i in range(n):
-            if self.entries[i][i] != 0:
-                raise AssertionError("nonzero diagonal")
-            for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise AssertionError("asymmetric entries")
-                if self.entries[i][j] < 0:
-                    raise AssertionError("negative squared distance")
-        d = [[sqrt(float(self.entries[i][j])) for j in range(n)] for i in range(n)]
-        slack = 0.0 if self.exact else 1e-9
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i][j] > d[i][k] + d[k][j] + slack * max(1.0, d[i][j]):
-                        raise AssertionError(f"triangle inequality fails at {i},{j},{k}")
-
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -240,7 +213,10 @@ def sq_dist_matrix(P: PointSet) -> SqDistMatrix:
         for i in range(n):
             rows.append(tuple(sq_dist(P.points[i], P.points[j], True) for j in range(n)))
         return SqDistMatrix(tuple(rows), exact=True, tolerance=P.tolerance)
+    # centring first keeps the Gram expansion's cancellation error below the
+    # distances when the set is small and far from the origin
     A = P.as_array()
+    A -= A.mean(axis=0)
     norms = (A * A).sum(axis=1)
     D = norms[:, None] + norms[None, :] - 2.0 * (A @ A.T)
     D = np.maximum(D, 0.0)
@@ -332,32 +308,69 @@ class CongruenceMap:
 
     mapping: tuple
 
-    def as_dict(self) -> dict:
-        return dict(enumerate(self.mapping))
-
-    def image(self) -> tuple:
-        return self.mapping
-
-
-def _distance_eq(MP: SqDistMatrix, MQ: SqDistMatrix):
-    if MP.exact and MQ.exact:
-        return lambda a, b: a == b
-    eps = max(MP.tolerance, MQ.tolerance)
-    return lambda a, b: close(float(a), float(b), eps)
-
 
 def _pattern_order(M: SqDistMatrix) -> list:
     # most-constrained first: many distinct distances => few candidate images
-    n = M.n
-    distinct = [len(set(M.entries[i])) for i in range(n)]
-    return sorted(range(n), key=lambda i: (-distinct[i], i))
+    distinct = [len(set(row)) for row in M.entries]
+    return sorted(range(M.n), key=lambda i: (-distinct[i], i))
 
 
-def _row_multisets_match(rp, rq, eq) -> bool:
-    # sorted squared-distance rows; elementwise closeness is a sound filter
-    sp = sorted(float(x) for x in rp)
-    sq_ = sorted(float(x) for x in rq)
-    return all(eq(a, b) for a, b in zip(sp, sq_))
+def _near_bitsets(MQ: SqDistMatrix, keys, eps: float | None) -> list:
+    """near[h][x]: bitset of the host points at squared distance x from h.
+
+    Exact when eps is None; otherwise a float x matches a host distance y
+    when |x - y| <= eps * max(x, y), a rule with no absolute floor.
+    """
+    near = [dict.fromkeys(keys, 0) for _ in range(MQ.n)]
+    if eps is None:
+        for bits, row in zip(near, MQ.entries):
+            for g, y in enumerate(row):
+                if y in bits:
+                    bits[y] |= 1 << g
+        return near
+    D = np.array(MQ.entries, dtype=float)
+    for x in keys:
+        hit = np.abs(D - x) <= eps * np.maximum(D, x)
+        packed = np.packbits(hit, axis=1, bitorder="little")
+        for h in np.flatnonzero(packed.any(axis=1)):
+            near[h][x] = int.from_bytes(packed[h].tobytes(), "little")
+    return near
+
+
+def _distance_preserving_maps(MP: SqDistMatrix, MQ: SqDistMatrix):
+    """Every injective map of a pattern into a host that keeps all squared
+    distances, as a tuple m with m[p] the host point of pattern point p.
+
+    Pattern points are placed in `_pattern_order`, host points are tried in
+    ascending index. The candidates of the k-th pattern point are the AND
+    of the `_near_bitsets` rows of the host points already placed, at the
+    pattern's distances, minus the used points (Ullmann's refinement).
+    """
+    exact = MP.exact and MQ.exact
+    rows = MP.entries if exact else [[float(x) for x in r] for r in MP.entries]
+    near = _near_bitsets(MQ, {x for r in rows for x in r},
+                         None if exact else max(MP.tolerance, MQ.tolerance))
+    order = _pattern_order(MP)
+    links = [[(i, rows[p][q]) for i, q in enumerate(order[:k])]
+             for k, p in enumerate(order)]
+    depth_of = sorted(range(len(order)), key=order.__getitem__)
+    image = [0] * len(order)
+    last = len(order) - 1
+
+    def extend(k: int, free: int):
+        cand = free
+        for i, x in links[k]:
+            cand &= near[image[i]][x]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[k] = low.bit_length() - 1
+            if k == last:
+                yield tuple(map(image.__getitem__, depth_of))
+            else:
+                yield from extend(k + 1, free ^ low)
+
+    return extend(0, (1 << MQ.n) - 1)
 
 
 def find_congruence(P: PointSet, Q: PointSet) -> CongruenceMap | None:
@@ -368,47 +381,9 @@ def find_congruence(P: PointSet, Q: PointSet) -> CongruenceMap | None:
     """
     if len(P) != len(Q):
         raise ValueError("congruence needs equal cardinalities")
-    n = len(P)
-    MP, MQ = sq_dist_matrix(P), sq_dist_matrix(Q)
-    eq = _distance_eq(MP, MQ)
-    order = _pattern_order(MP)
-    cand = []
-    for p in order:
-        row = MP.entries[p]
-        cand.append([h for h in range(n)
-                     if _row_multisets_match(row, MQ.entries[h], eq)])
-        if not cand[-1]:
-            return None
-
-    assigned_host = [-1] * n
-    used = [False] * n
-
-    def bt(k: int) -> bool:
-        if k == n:
-            return True
-        p = order[k]
-        for h in cand[k]:
-            if used[h]:
-                continue
-            ok = True
-            for i in range(k):
-                if not eq(MP.entries[p][order[i]], MQ.entries[h][assigned_host[i]]):
-                    ok = False
-                    break
-            if ok:
-                assigned_host[k] = h
-                used[h] = True
-                if bt(k + 1):
-                    return True
-                used[h] = False
-        return False
-
-    if not bt(0):
-        return None
-    mapping = [0] * n
-    for k, p in enumerate(order):
-        mapping[p] = assigned_host[k]
-    return CongruenceMap(tuple(mapping))
+    mapping = next(_distance_preserving_maps(sq_dist_matrix(P), sq_dist_matrix(Q)),
+                   None)
+    return None if mapping is None else CongruenceMap(mapping)
 
 
 def angle_at(apex, b, c) -> float:

@@ -60,11 +60,14 @@ class Hypergraph:
         form is taken as it is.
         """
         edges = tuple(edges)
-        canonical = (set(map(type, edges)) <= {tuple}
-                     and _strictly_sorted(edges, set(map(len, edges)))
-                     and _lex_increasing(edges))
-        if not canonical:
-            edges = tuple(sorted({tuple(sorted(set(e))) for e in edges}))
+        if set(map(type, edges)) <= {tuple} and _lex_increasing(edges):
+            # __post_init__ finishes the canonical test; input that fails
+            # it is canonicalised and checked again, as any other input
+            try:
+                return cls(n_vertices, edges, uniformity)
+            except ValueError:
+                pass
+        edges = tuple(sorted({tuple(sorted(set(e))) for e in edges}))
         return cls(n_vertices, edges, uniformity)
 
     @property

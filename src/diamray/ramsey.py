@@ -35,7 +35,7 @@ from .geometry import (
     find_congruence,
     sq_dist,
     sq_dist_matrix,
-    _pattern_order,
+    _distance_preserving_maps,
 )
 from .hypergraph import Hypergraph
 
@@ -60,37 +60,10 @@ def congruent_copies(R: PointSet, P: PointSet) -> CopyFamily:
     """Enumerate every |P|-subset of R congruent to P, each exactly once."""
     if len(P) > len(R):
         raise ValueError("pattern larger than host")
-    MR, MP = sq_dist_matrix(R), sq_dist_matrix(P)
-    if MP.exact and MR.exact:
-        eq = lambda a, b: a == b
-    else:
-        eps = max(MP.tolerance, MR.tolerance)
-        eq = lambda a, b: close(float(a), float(b), eps)
-    order = _pattern_order(MP)
-    np_, nr = len(P), len(R)
-    found = set()
-    assigned = []
-
-    def bt(k: int) -> None:
-        if k == np_:
-            found.add(tuple(sorted(assigned)))
-            return
-        p = order[k]
-        for h in range(nr):
-            if h in assigned:
-                continue
-            ok = True
-            for i in range(k):
-                if not eq(MP.entries[p][order[i]], MR.entries[h][assigned[i]]):
-                    ok = False
-                    break
-            if ok:
-                assigned.append(h)
-                bt(k + 1)
-                assigned.pop()
-
-    bt(0)
-    return CopyFamily(R, P, tuple(sorted(found)))
+    # the host's matrix first: bench/tracing.py counts the first one's pairs
+    MR = sq_dist_matrix(R)
+    maps = _distance_preserving_maps(sq_dist_matrix(P), MR)
+    return CopyFamily(R, P, tuple(sorted({tuple(sorted(m)) for m in maps})))
 
 
 @dataclass(frozen=True)
@@ -204,10 +177,6 @@ class EmbeddingConditionError(ValueError):
         super().__init__(
             "sum of squared sides misses the required bound by "
             f"{float(-deficit):.6g}")
-
-
-def _as_sq(x) -> Fraction:
-    return Fraction(x) * Fraction(x)
 
 
 def _pair_checks(embedded: PointSet, expected, rel_tol: float):

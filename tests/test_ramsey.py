@@ -63,21 +63,26 @@ def test_copies_trivial_cases():
 
 
 def test_copies_invariant_under_rigid_motion():
-    R, P = heptagon_config()
-    rng = np.random.default_rng(2)
-    Q = random_orthogonal(2, rng)
-    moved = PointSet.from_floats(R.as_array() @ Q.T + rng.standard_normal(2))
-    assert len(congruent_copies(moved, P)) == 14
+    # the float rule is relative, so the answer holds far below and above
+    # unit scale, with the set moved a unit away from the origin
+    for radius in (1.0, 1e-5, 1e5):
+        R, P = heptagon_config(radius)
+        rng = np.random.default_rng(2)
+        Q = random_orthogonal(2, rng)
+        moved = PointSet.from_floats(R.as_array() @ Q.T + rng.standard_normal(2))
+        assert len(congruent_copies(moved, P)) == 14
 
 
 def test_heptagon_arrow_decisions():
-    R, P = heptagon_config()
-    assert arrows(R, P, 2).arrows
-    res3 = arrows(R, P, 3)
-    assert not res3.arrows
-    # the evading 3-coloring really leaves no monochromatic copy
-    fam = congruent_copies(R, P)
-    assert is_proper(fam.as_hypergraph, res3.evading)
+    for radius in (1.0, 1e-5, 1e5):
+        R, P = heptagon_config(radius)
+        assert arrows(R, P, 2).arrows
+        res3 = arrows(R, P, 3)
+        assert not res3.arrows
+        # the evading 3-coloring really leaves no monochromatic copy
+        fam = congruent_copies(R, P)
+        assert len(fam) == 14
+        assert is_proper(fam.as_hypergraph, res3.evading)
 
 
 def test_arrow_monotone_in_colors():
@@ -246,24 +251,43 @@ def test_copies_match_brute_force_subsets():
     rng = np.random.default_rng(91)
     from itertools import permutations
 
+    cases = []
     for _ in range(10):
         pts = set()
         while len(pts) < 7:
             pts.add(tuple(int(x) for x in rng.integers(0, 4, size=2)))
         R = PointSet.exact(sorted(pts))
-        pat_idx = sorted(int(i) for i in rng.choice(7, size=3, replace=False))
+        cases.append((R, sorted(int(i) for i in rng.choice(7, size=3, replace=False))))
+    # 3-D lattice hosts and 4- and 5-point patterns. In the unit cube a
+    # square, a regular tetrahedron and a square with a pendant edge have
+    # nontrivial automorphisms, so each of their copies is reached by
+    # several maps
+    cube = PointSet.exact([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    symmetric = [(0, 1, 2, 3), (0, 3, 5, 6), (0, 1, 2, 3, 4)]
+    assert [len(congruent_copies(cube, cube.select(i))) for i in symmetric] == [6, 2, 24]
+    cases += [(cube, list(i)) for i in symmetric]
+    rng = np.random.default_rng(92)
+    for k in (4, 5) * 4:
+        pts = set()
+        while len(pts) < 9:
+            pts.add(tuple(int(x) for x in rng.integers(0, 3, size=3)))
+        R = PointSet.exact(sorted(pts))
+        cases.append((R, sorted(int(i) for i in rng.choice(9, size=k, replace=False))))
+
+    for R, pat_idx in cases:
         P = R.select(pat_idx)
         fam = congruent_copies(R, P)
         MR = sq_dist_matrix(R)
         MP = sq_dist_matrix(P)
+        k = len(P)
         direct = set()
-        for sub in combinations(range(7), 3):
+        for sub in combinations(range(len(R)), k):
             for perm in permutations(sub):
                 if all(MP.entries[a][b] == MR.entries[perm[a]][perm[b]]
-                       for a in range(3) for b in range(a + 1, 3)):
+                       for a in range(k) for b in range(a + 1, k)):
                     direct.add(sub)
                     break
-        assert set(fam.copies) == direct
+        assert fam.copies == tuple(sorted(direct))
         assert tuple(pat_idx) in direct
 
 
