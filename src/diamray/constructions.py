@@ -255,7 +255,7 @@ def realize(spec: SimplexSpec, psd_tolerance: float = PSD_TOLERANCE) -> PointSet
         for j in range(1, n):
             G[i - 1, j - 1] = (M[0, i] + M[0, j] - M[i, j]) / 2.0
     w, V = np.linalg.eigh(G)
-    scale = max(w.max(), 1.0)
+    scale = w.max()  # positive: the Gram trace is a sum of squared sides
     if w.min() < -psd_tolerance * scale:
         raise NonRealizableError(float(w.min()))
     keep = [i for i in range(len(w)) if w[i] > psd_tolerance * scale]
@@ -276,7 +276,7 @@ def regular_simplex(m: int, side=1.0) -> PointSet:
         raise ValueError("side must be positive")
     if m == 1:
         return PointSet.from_floats([[0.0]])
-    s_sq = _as_fraction(side) ** 2 if not isinstance(side, float) else Fraction(side) ** 2
+    s_sq = _as_fraction(side) ** 2
     rows = tuple(tuple(Fraction(0) if i == j else s_sq for j in range(m))
                  for i in range(m))
     return realize(SimplexSpec(rows))

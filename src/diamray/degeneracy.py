@@ -19,18 +19,19 @@ verdicts exhibit an explicit placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .constructions import SimplexSpec, realize
+from .constructions import regular_simplex
 from .geometry import PointSet, diameter, random_orthogonal
 
 DEFAULT_RESTARTS = 50
 SUPPORT_MARGIN = 1e-4
 REFUTE_TOLERANCE = 1e-6
+ANGLE_DIMS = (2, 3, 4, 5)
+ANGLE_TOL_DEGREES = 1e-6
 _BETAS = (4.0, 16.0, 64.0, 256.0)
 
 
@@ -81,12 +82,8 @@ class ExtensionResult:
 
 
 def _anchored_frame(t: int, side: float) -> np.ndarray:
-    """Vertices 1..t of a regular t-simplex with vertex 0 at the origin."""
-    s_sq = Fraction(side) ** 2
-    rows = tuple(tuple(Fraction(0) if i == j else s_sq for j in range(t + 1))
-                 for i in range(t + 1))
-    pts = realize(SimplexSpec(rows)).as_array()
-    return pts[1:] - pts[0]
+    """Vertices 1..t of a regular t-simplex whose vertex 0 is the origin."""
+    return regular_simplex(t + 1, side).as_array()[1:]
 
 
 def _frame(A: np.ndarray) -> tuple:
@@ -261,23 +258,21 @@ def degeneracy_evidence(P: PointSet, t: int, margin: float = SUPPORT_MARGIN,
     }
 
 
-def apex_angle_audit(trials: int = 100000, seed: int = 0,
-                     dims=(2, 3, 4, 5), tol_degrees: float = 1e-6) -> dict:
+def apex_angle_audit(trials: int = 100000, seed: int = 0) -> dict:
     """Randomized audit: a bounded unit extension caps the apex angle at 150.
 
-    Samples triangles (p1, p2, p3) with a point q satisfying
-    max(p2q, p3q) <= p1q <= p2p3 and checks the angle at p1 never exceeds
-    150 degrees plus the stated tolerance.
+    Samples triangles (p1, p2, p3), in each dimension of ANGLE_DIMS in turn,
+    with a point q satisfying max(p2q, p3q) <= p1q <= p2p3 and checks the
+    angle at p1 never exceeds 150 degrees plus ANGLE_TOL_DEGREES.
     """
     rng = np.random.default_rng(seed)
     accepted = 0
     violations = 0
     max_angle = 0.0
     worst = None
-    dims = tuple(dims)
     round_robin = 0
     while accepted < trials:
-        dim = dims[round_robin % len(dims)]
+        dim = ANGLE_DIMS[round_robin % len(ANGLE_DIMS)]
         round_robin += 1
         batch = 8192
         p1 = rng.standard_normal((batch, dim))
@@ -313,7 +308,7 @@ def apex_angle_audit(trials: int = 100000, seed: int = 0,
             gi = take[batch_max]
             worst = (p1[gi].tolist(), p2[gi].tolist(), p3[gi].tolist(),
                      q[gi].tolist())
-        violations += int((angles > 150.0 + tol_degrees).sum())
+        violations += int((angles > 150.0 + ANGLE_TOL_DEGREES).sum())
     return {
         "trials": accepted,
         "violations": violations,

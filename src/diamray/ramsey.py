@@ -39,6 +39,9 @@ from .geometry import (
 )
 from .hypergraph import Hypergraph
 
+REL_TOL = 1e-9  # float realizations against exact squared lengths
+BOUNDARY_TOL = 1e-12  # the mod-8 audit skips 2|x|^2 this close to an integer
+
 
 @dataclass(frozen=True)
 class CopyFamily:
@@ -179,20 +182,19 @@ class EmbeddingConditionError(ValueError):
             f"{float(-deficit):.6g}")
 
 
-def _pair_checks(embedded: PointSet, expected, rel_tol: float):
+def _pair_checks(embedded: PointSet, expected):
     checks = []
     n = len(embedded)
     for i in range(n):
         for j in range(i + 1, n):
             measured = float(sq_dist(embedded.points[i], embedded.points[j], False))
             exp = expected(i, j)
-            ok = close(measured, float(exp), rel_tol)
+            ok = close(measured, float(exp), REL_TOL)
             checks.append(PairCheck(i, j, exp, measured, ok))
     return tuple(checks)
 
 
-def right_triangle_embedding(l1, l2, colors: int = 2,
-                             rel_tol: float = 1e-9) -> EmbeddingWitness:
+def right_triangle_embedding(l1, l2, colors: int = 2) -> EmbeddingWitness:
     """Embed the right triangle with the given legs into a two-segment brick.
 
     The brick's squared diameter is l1^2 + l2^2, the triangle's hypotenuse,
@@ -208,7 +210,7 @@ def right_triangle_embedding(l1, l2, colors: int = 2,
     if leg2 == 0:
         seg = segment(leg1)
         embedded = PointSet.from_floats([[0.0], [float(leg1)]])
-        checks = _pair_checks(embedded, lambda i, j: l1_sq, rel_tol)
+        checks = _pair_checks(embedded, lambda i, j: l1_sq)
         cong = find_congruence(embedded, seg) is not None
         return EmbeddingWitness(
             pattern=embedded, factors=(seg,), embedded=embedded,
@@ -226,7 +228,7 @@ def right_triangle_embedding(l1, l2, colors: int = 2,
         (1, 2): l2_sq,
         (0, 2): l1_sq + l2_sq,
     }
-    checks = _pair_checks(embedded, lambda i, j: side_sq[(i, j)], rel_tol)
+    checks = _pair_checks(embedded, lambda i, j: side_sq[(i, j)])
     pattern = realize(simplex_from_squared_sides(
         [[0, l1_sq, l1_sq + l2_sq], [l1_sq, 0, l2_sq], [l1_sq + l2_sq, l2_sq, 0]]))
     cong = find_congruence(embedded, pattern) is not None
@@ -239,12 +241,11 @@ def right_triangle_embedding(l1, l2, colors: int = 2,
         details={
             "l1_sq": l1_sq, "l2_sq": l2_sq, "colors": colors,
             "segment_host_vertices": colors + 1,
-            "host_diam_sq_ok": close(host_diam.value ** 2, float(diam_sq), rel_tol),
+            "host_diam_sq_ok": close(host_diam.value ** 2, float(diam_sq), REL_TOL),
         })
 
 
-def acute_triangle_embedding(a, b, c, colors: int = 2,
-                             rel_tol: float = 1e-9) -> EmbeddingWitness:
+def acute_triangle_embedding(a, b, c, colors: int = 2) -> EmbeddingWitness:
     """Embed an acute (or right) triangle into a diameter-preserving product.
 
     With sides a <= b <= c, the product of a right triangle with legs
@@ -267,7 +268,7 @@ def acute_triangle_embedding(a, b, c, colors: int = 2,
     assert a_sq == l2_sq + x_sq and b_sq == l1_sq + x_sq
     assert c_sq == l1_sq + l2_sq + x_sq
     if x_sq == 0:
-        return right_triangle_embedding(sb, sa, colors=colors, rel_tol=rel_tol)
+        return right_triangle_embedding(sb, sa, colors=colors)
 
     x = sqrt(float(x_sq))
     S = regular_simplex(3, x)
@@ -291,7 +292,7 @@ def acute_triangle_embedding(a, b, c, colors: int = 2,
         embedded = host.select(idx)
         factors = (T0, S)
     side_sq = {(0, 1): c_sq, (0, 2): b_sq, (1, 2): a_sq}
-    checks = _pair_checks(embedded, lambda i, j: side_sq[(i, j)], rel_tol)
+    checks = _pair_checks(embedded, lambda i, j: side_sq[(i, j)])
     pattern = realize(simplex_from_squared_sides(
         [[0, c_sq, b_sq], [c_sq, 0, a_sq], [b_sq, a_sq, 0]]))
     cong = find_congruence(embedded, pattern) is not None
@@ -303,12 +304,12 @@ def acute_triangle_embedding(a, b, c, colors: int = 2,
         details={
             "a_sq": a_sq, "b_sq": b_sq, "c_sq": c_sq,
             "l1_sq": l1_sq, "l2_sq": l2_sq, "x_sq": x_sq, "colors": colors,
-            "host_diam_sq_ok": close(host_diam.value ** 2, float(c_sq), rel_tol),
+            "host_diam_sq_ok": close(host_diam.value ** 2, float(c_sq), REL_TOL),
         })
 
 
-def near_regular_simplex_embedding(spec: SimplexSpec, normalize: bool = True,
-                                   rel_tol: float = 1e-9) -> EmbeddingWitness:
+def near_regular_simplex_embedding(spec: SimplexSpec,
+                                   normalize: bool = True) -> EmbeddingWitness:
     """Embed a near-regular simplex into a product of regular simplices.
 
     After scaling the diameter to 1, the squared sides must sum to at least
@@ -378,7 +379,7 @@ def near_regular_simplex_embedding(spec: SimplexSpec, normalize: bool = True,
     for (k, l) in pairs:
         assert a_sq + sum(x_sq.values()) - x_sq[(k, l)] == side_sq[k][l]
 
-    checks = _pair_checks(embedded, lambda i, j: side_sq[i][j], rel_tol)
+    checks = _pair_checks(embedded, lambda i, j: side_sq[i][j])
     norm_spec = SimplexSpec(side_sq)
     pattern = realize(norm_spec)
     cong = find_congruence(embedded, pattern) is not None
@@ -431,8 +432,7 @@ def mod8_near_boundary(x, tol: float = 1e-12) -> bool:
 
 
 def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
-                        dim: int = 3, boundary_tol: float = 1e-12,
-                        legs: float | None = None) -> dict:
+                        dim: int = 3, legs: float | None = None) -> dict:
     """Audit the residue coloring against one thin isosceles triangle.
 
     Samples congruent placements (random rotation and translation, rejected
@@ -448,7 +448,7 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
     exist (the audit finds and reports them).
 
     Placements with a vertex too close to a floor boundary (within
-    boundary_tol) are excluded from the monochromatic count and tallied.
+    BOUNDARY_TOL) are excluded from the monochromatic count and tallied.
     """
     if K <= 1:
         raise ValueError("need K > 1")
@@ -490,7 +490,7 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
         two_sq = [2.0 * (p * p).sum(1) for p in (a, b, c)]
         near = np.zeros(take, dtype=bool)
         for v in two_sq:
-            near |= np.abs(v - np.round(v)) < boundary_tol
+            near |= np.abs(v - np.round(v)) < BOUNDARY_TOL
         flagged += int(near.sum())
         cols = [np.floor(v).astype(np.int64) % 8 for v in two_sq]
         bad = (~near) & (cols[0] == cols[1]) & (cols[1] == cols[2])

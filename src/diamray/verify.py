@@ -2,15 +2,16 @@
 
 Every check exercises one of the headline constructions or inequalities at
 desk scale and reports pass/fail with a structured payload. The fast suite
-trims sample counts and optimizer restarts; the full suite runs the
-acceptance-level budgets. Checks are deterministic given the seed, and a
-seed change may alter sampled instances but never a pass/fail outcome.
+trims sample counts and optimizer restarts; `FULL` is what the acceptance
+tests run, each check once with a fixed seed. Checks are deterministic given
+the seed, and a seed change may alter sampled instances but never a verdict.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import sqrt
 
@@ -43,7 +44,7 @@ from .degeneracy import (
     min_extension_diameter,
     random_star_tetrahedron,
 )
-from .geometry import PointSet, circumcenter, diameter, sq_dist
+from .geometry import PointSet, circumcenter, diameter, find_congruence, sq_dist
 from .hypergraph import (
     Hypergraph,
     diameter_graph,
@@ -78,9 +79,13 @@ class VerificationReport:
         }
 
 
+KK_NS = (2, 4, 6)  # partition-distance-formula: the same in both suites
+KK_PAIRS = 1000
+# the Fano plane: lines {i, i+1, i+3} mod 7
+FANO_EDGES = tuple(sorted(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7)))
+                          for i in range(7)))
+
 FAST = {
-    "kk_ns": (2, 4, 6),
-    "kk_pairs": 1000,
     "chain_sets": 15,
     "planar_sets": 80,
     "embed_samples": 30,
@@ -92,8 +97,6 @@ FAST = {
 }
 
 FULL = {
-    "kk_ns": (2, 4, 6),
-    "kk_pairs": 1000,
     "chain_sets": 50,
     "planar_sets": 200,
     "embed_samples": 100,
@@ -115,7 +118,7 @@ def random_lattice_set(rng: np.random.Generator, n_points: int, dim: int,
     return PointSet.exact(sorted(pts))
 
 
-def _chain_instances(params: dict, seed: int):
+def _chain_instances(count: int, seed: int):
     """Random point sets with <= 12 points in dimensions 2-4.
 
     Mixes generic lattice samples (sparse diameter graphs) with polygon,
@@ -125,7 +128,7 @@ def _chain_instances(params: dict, seed: int):
     rng = np.random.default_rng(seed)
     kinds = ("lattice", "polygon", "cube", "cross", "lattice", "polygon")
     sets = []
-    while len(sets) < params["chain_sets"]:
+    while len(sets) < count:
         kind = kinds[int(rng.integers(0, len(kinds)))]
         if kind == "lattice":
             dim = int(rng.integers(2, 5))
@@ -167,7 +170,8 @@ def check_partition_set_structure(params: dict, seed: int):
     fact = verify_intersection_fact(4, 3)
     ok = (
         len(P) == 35 and P.dim == 28
-        and info.sq == 16 and all(c == 16 for c in nonzeros)
+        and info.sq == 16 and info.value == 4.0
+        and all(c == 16 for c in nonzeros)
         and fact["match"]
     )
     return ok, {
@@ -182,11 +186,11 @@ def check_partition_distance_formula(params: dict, seed: int):
     rng = np.random.default_rng(seed)
     mismatches = 0
     checked = 0
-    for n in params["kk_ns"]:
+    for n in KK_NS:
         P = kahn_kalai_set(n)
         blocks = kahn_kalai_blocks(n)
         m = len(P)
-        for _ in range(params["kk_pairs"]):
+        for _ in range(KK_PAIRS):
             i, j = rng.integers(0, m, size=2)
             if i == j:
                 continue
@@ -217,9 +221,7 @@ def check_kneser_small(params: dict, seed: int):
 def check_heptagon_fano(params: dict, seed: int):
     R, P = heptagon_config()
     fam = congruent_copies(R, P)
-    fano_edges = sorted(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7)))
-                        for i in range(7))
-    fano = Hypergraph.make(7, fano_edges, uniformity=3)
+    fano = Hypergraph.make(7, FANO_EDGES, uniformity=3)
     chi_fano, _ = chromatic_number(fano)
     a2 = arrows(R, P, 2)
     a3 = arrows(R, P, 3)
@@ -232,7 +234,8 @@ def check_heptagon_fano(params: dict, seed: int):
 
 
 def check_chromatic_chain(params: dict, seed: int):
-    reports = [chain_report(s, r_max=4) for s in _chain_instances(params, seed)]
+    reports = [chain_report(s, r_max=4)
+               for s in _chain_instances(params["chain_sets"], seed)]
     simplex = regular_simplex(6, 1.0)
     srep = chain_report(simplex, r_max=4)
     ok = all(r["ok"] for r in reports) and srep["ok"] \
@@ -275,35 +278,38 @@ def check_near_regular_embedding(params: dict, seed: int):
         sides = [float(x) for x in rng.uniform(0.97, 1.0, size=n * (n - 1) // 2)]
         spec = simplex_from_sides(sides)
         w = near_regular_simplex_embedding(spec)
-        if w.diam_sq != 1 or not w.ok:
+        if w.diam_sq != 1 or not w.ok or not all(
+                abs(c.measured_sq - float(c.expected_sq))
+                <= 1e-9 * max(1.0, abs(c.measured_sq)) for c in w.pair_checks):
             return False, {"failed_sides": sides}
         if w.details["measured_diam_sq_err"] > 1e-9:
             return False, {"diam_err": w.details["measured_diam_sq_err"]}
         count += 1
     try:
         near_regular_simplex_embedding(simplex_from_sides(["1", "3/5", "3/5"]))
-        rejected = False
         deficit = None
     except EmbeddingConditionError as e:
-        rejected = True
-        deficit = float(e.deficit)
-    ok = rejected and abs(deficit + 0.28) < 1e-12
-    return ok, {"samples": count, "thin_triangle_rejected": rejected,
-                "deficit": deficit}
+        deficit = e.deficit
+    ok = deficit == Fraction(-7, 25)  # squared sides sum to 43/25, not 2
+    return ok, {"samples": count, "thin_triangle_rejected": deficit is not None,
+                "deficit": None if deficit is None else float(deficit)}
 
 
 def check_triangle_embeddings(params: dict, seed: int):
     results = {}
     w = right_triangle_embedding(3, 4)
-    results["right_3_4"] = w.ok and w.diam_sq == 25
+    results["right_3_4"] = w.ok and w.diam_sq == 25 and diameter(w.host).sq == 25
     w = right_triangle_embedding(1, 1)
-    results["right_1_1"] = w.ok and w.diam_sq == 2
+    results["right_1_1"] = w.ok and w.diam_sq == 2 and diameter(w.host).sq == 2
     w = acute_triangle_embedding(4, 5, 6)
+    d = w.details
     results["acute_4_5_6"] = w.ok and w.diam_sq == 36 \
-        and w.details["x_sq"] == 5 and w.details["l1_sq"] == 20 \
-        and w.details["l2_sq"] == 11
+        and (d["x_sq"], d["l1_sq"], d["l2_sq"]) == (5, 20, 11) \
+        and d["a_sq"] == d["l2_sq"] + d["x_sq"] \
+        and d["c_sq"] == d["l1_sq"] + d["l2_sq"] + d["x_sq"]
     w = acute_triangle_embedding(1, 1, 1)
-    results["equilateral"] = w.ok and w.diam_sq == 1 and len(w.factors) == 1
+    results["equilateral"] = w.ok and w.diam_sq == 1 and len(w.factors) == 1 \
+        and find_congruence(w.embedded, regular_simplex(3, 1.0)) is not None
     ok = all(results.values())
     return ok, results
 
@@ -374,7 +380,8 @@ def check_mod8_gadget(params: dict, seed: int):
     # audit must be sharp enough to find monochromatic placements there
     thick = obtuse_gadget_audit(K=2.0, trials=100000, seed=11,
                                 legs=1.0 + 1.0 / 68.0)
-    ok = rep["monochromatic"] == 0 and thick["monochromatic"] > 0
+    ok = rep["xi"] == 1.0 / 68.0 and rep["monochromatic"] == 0 \
+        and thick["monochromatic"] > 0
     return ok, {
         "trials": rep["trials"],
         "monochromatic": rep["monochromatic"],
@@ -409,15 +416,11 @@ def _oracle_hypergraphs(params: dict, seed: int):
     R, pat = heptagon_config()
     out.append(("heptagon-h2", diameter_graph(R)))
     out.append(("heptagon-copies", congruent_copies(R, pat).as_hypergraph))
-    fano = Hypergraph.make(7, [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7)))
-                               for i in range(7)], uniformity=3)
-    out.append(("fano", fano))
+    out.append(("fano", Hypergraph.make(7, FANO_EDGES, uniformity=3)))
     simplex = regular_simplex(6, 1.0)
     for r in (2, 3, 4):
         out.append((f"simplex6-h{r}", diameter_hypergraph(simplex, r)))
-    chain_params = dict(params)
-    chain_params["chain_sets"] = params["oracle_sets"]
-    for idx, s in enumerate(_chain_instances(chain_params, seed)):
+    for idx, s in enumerate(_chain_instances(params["oracle_sets"], seed)):
         for r in (2, 3, 4):
             out.append((f"lattice{idx}-h{r}", diameter_hypergraph(s, r)))
     return [(name, h) for name, h in out if h.n_vertices <= 12]

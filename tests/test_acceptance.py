@@ -1,58 +1,50 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
-Each test prints one pass line (visible with `pytest -s`); a failing
-criterion surfaces as a failing test. Budgets are wall-clock seconds.
+The criteria are encoded once, as the checks of `diamray.verify.CHECKS`.
+Each test runs its criterion's check at the full suite's sizes
+(`verify.FULL`) with the criterion's own seed and asserts that it passes.
+Where a criterion asks for more than its check can hold (draws of its own,
+or a bound only the full sizes meet), a test-side step follows the check
+under the same budget. Each test prints one pass line (visible with
+`pytest -s`); budgets are wall-clock seconds.
 """
 
 import os
 import time
-from fractions import Fraction
-from itertools import combinations
-from math import ceil, comb, sqrt
 
 import numpy as np
 import pytest
 
 from diamray import (
-    Hypergraph,
-    PointSet,
-    acute_triangle_embedding,
-    apex_angle_audit,
-    arrows,
-    brute_force_chromatic,
-    chain_report,
-    chromatic_number,
-    circumcenter,
     colorable,
-    congruent_copies,
-    cube_corner_set,
-    degeneracy_evidence,
-    diameter,
-    diameter_graph,
     diameter_hypergraph,
-    extension_problem,
-    far_pair_adversary,
     far_pair_witness,
-    find_congruence,
-    heptagon_config,
-    hopf_pannwitz_audit,
-    isosceles_apex_triangle,
     kahn_kalai_blocks,
     kahn_kalai_set,
     kneser_points,
-    min_extension_diameter,
-    near_regular_simplex_embedding,
-    obtuse_gadget_audit,
     random_star_tetrahedron,
-    realize,
-    regular_polygon,
-    regular_simplex,
-    right_triangle_embedding,
-    simplex_from_sides,
     sq_dist,
-    EmbeddingConditionError,
+    verify,
 )
-from diamray.verify import _chain_instances
+
+# check id -> (criterion, budget in seconds, seed); the deterministic checks
+# ignore the seed
+CRITERIA = {
+    "partition-set-structure": ("C1 partition-set structure", 5.0, 0),
+    "partition-distance-formula": ("C2 squared-distance formula", 5.0, 2024),
+    "kneser-small": ("C3 Kneser instance", 5.0, 0),
+    "heptagon-fano": ("C4 heptagon / Fano", 5.0, 0),
+    "chromatic-chain": ("C5 coloring inequalities", 30.0, 5005),
+    "planar-diameter-bound": ("C6 planar diameter bound", 10.0, 606),
+    "near-regular-embedding": ("C7 near-regular embedding", 20.0, 707),
+    "triangle-embeddings": ("C8 triangle witnesses", 5.0, 0),
+    "apex-degeneracy": ("C9 degeneracy boundary", 120.0, 9),
+    "corner-star-extension": ("C10 corner-star claim", 300.0, 10),
+    "apex-angle-audit": ("C11 apex angle audit", 60.0, 1111),
+    "mod8-gadget": ("C12 mod-8 gadget", 60.0, 1212),
+    "kneser-h4-empty": ("C13 large Kneser H4 empty", 60.0, 0),
+    "solver-oracle": ("C14 solver vs brute force", 120.0, 5005),
+}
 
 
 class _Budget:
@@ -75,200 +67,74 @@ class _Budget:
         return False
 
 
-def test_c01_partition_set_structure():
-    with _Budget("C1 partition-set structure", 5.0):
-        P = kahn_kalai_set(4)
-        blocks = kahn_kalai_blocks(4)
-        assert len(P) == 35 and P.dim == 28
-        info = diameter(P)
-        assert info.sq == 16 and info.value == 4.0
-        assert all(sum(1 for x in p if x != 0) == 16 for p in P.points)
-        H3 = diameter_hypergraph(P, 3)
-        direct = {f for f in combinations(range(35), 3)
-                  if all(len(blocks[i] & blocks[j]) == 2
-                         for i, j in combinations(f, 2))}
-        assert set(H3.edges) == direct
+def _criterion_test(check_id: str, extra=None):
+    """The acceptance test of one registered check.
+
+    The test runs the check at the full sizes with its criterion's seed,
+    under its criterion's budget, and asserts that it passes. `extra`, when
+    given, is called with the check's details under the same budget.
+    """
+    def test():
+        criterion, seconds, seed = CRITERIA[check_id]
+        fn = next(fn for cid, fn, _ in verify.CHECKS if cid == check_id)
+        with _Budget(criterion, seconds):
+            ok, details = fn(verify.FULL, seed)
+            assert ok, f"{check_id}: {details}"
+            if extra is not None:
+                extra(details)
+
+    test.check_id = check_id
+    return test
 
 
-def test_c02_distance_formula_exact():
-    with _Budget("C2 squared-distance formula", 5.0):
-        rng = np.random.default_rng(2024)
-        for n in (2, 4, 6):
-            P = kahn_kalai_set(n)
-            blocks = kahn_kalai_blocks(n)
-            m = len(P)
-            checked = 0
-            while checked < 1000:
-                i, j = (int(x) for x in rng.integers(0, m, size=2))
-                if i == j:
-                    continue
-                t = len(blocks[i] & blocks[j])
-                want = 2 * n * n - 2 * (t * t + (n - t) * (n - t))
-                got = sq_dist(P.points[i], P.points[j], True)
-                assert got == want  # integer equality, zero tolerance
-                checked += 1
+def _distinct_pairs(details):
+    """Exactly 1000 distinct pairs per n; the check draws 1000 and skips i == j."""
+    rng = np.random.default_rng(2024)
+    for n in (2, 4, 6):
+        P = kahn_kalai_set(n)
+        blocks = kahn_kalai_blocks(n)
+        m = len(P)
+        checked = 0
+        while checked < 1000:
+            i, j = (int(x) for x in rng.integers(0, m, size=2))
+            if i == j:
+                continue
+            t = len(blocks[i] & blocks[j])
+            want = 2 * n * n - 2 * (t * t + (n - t) * (n - t))
+            got = sq_dist(P.points[i], P.points[j], True)
+            assert got == want  # integer equality, zero tolerance
+            checked += 1
 
 
-def test_c03_kneser_instance():
-    with _Budget("C3 Kneser instance", 5.0):
-        P = kneser_points(2, 2, 2)
-        G = diameter_graph(P)
-        assert len(P) == 10 and G.n_edges == 15
-        deg = [0] * 10
-        for i, j in G.edges:
-            deg[i] += 1
-            deg[j] += 1
-        assert set(deg) == {3}
-        chi, witness = chromatic_number(G)
-        assert chi == 3 and chi > 2
-        assert diameter_hypergraph(P, 3).n_edges == 0
+def _more_witnesses(details):
+    """A second 1000 star tetrahedra, from a stream of their own."""
+    rng = np.random.default_rng(1010)
+    for _ in range(1000):
+        _, _, val = far_pair_witness(random_star_tetrahedron(rng))
+        assert val < 0.5
 
 
-def test_c04_heptagon_fano():
-    with _Budget("C4 heptagon / Fano", 5.0):
-        R, P = heptagon_config()
-        fam = congruent_copies(R, P)
-        assert len(fam) == 14
-        assert arrows(R, P, 2).arrows
-        fano = Hypergraph.make(
-            7, [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)],
-            uniformity=3)
-        assert set(fano.edges) <= set(fam.copies)
-        assert chromatic_number(fano)[0] == 3
-        assert not arrows(R, P, 3).arrows
+def _enough_instances(details):
+    """The fast suite's oracle has only 32 instances: a full-size bound."""
+    assert details["instances"] >= 150
 
 
-def test_c05_coloring_inequalities():
-    with _Budget("C5 coloring inequalities", 30.0):
-        sets = _chain_instances({"chain_sets": 50}, seed=5005)
-        for s in sets:
-            rep = chain_report(s, r_max=4)
-            assert rep["chain_ok"] and rep["ratio_ok"] and rep["grouped_coloring_ok"]
-        srep = chain_report(regular_simplex(6, 1.0), r_max=4)
-        assert srep["ok"]
-        assert srep["chi"][2] == 6
-        assert srep["chi"][3] == 3 == ceil(6 / 2)
-
-
-def test_c06_planar_diameter_bound():
-    with _Budget("C6 planar diameter bound", 10.0):
-        rng = np.random.default_rng(606)
-        for _ in range(200):
-            n = int(rng.integers(3, 41))
-            P = PointSet.from_floats(rng.standard_normal((n, 2)))
-            rep = hopf_pannwitz_audit(P)
-            assert rep["diameter_edges"] <= n
-        for k in range(1, 7):
-            rep = hopf_pannwitz_audit(regular_polygon(2 * k + 1))
-            assert rep["attains_bound"]
-
-
-def test_c07_near_regular_embedding():
-    with _Budget("C7 near-regular embedding", 20.0):
-        rng = np.random.default_rng(707)
-        done = 0
-        while done < 100:
-            n = int(rng.integers(3, 6))
-            sides = [float(x) for x in rng.uniform(0.97, 1.0,
-                                                   size=n * (n - 1) // 2)]
-            w = near_regular_simplex_embedding(simplex_from_sides(sides))
-            assert w.diam_sq == 1  # exact rational identity
-            assert w.details["measured_diam_sq_err"] <= 1e-9
-            for chk in w.pair_checks:
-                assert abs(chk.measured_sq - float(chk.expected_sq)) \
-                    <= 1e-9 * max(1.0, abs(chk.measured_sq))
-            assert w.congruent
-            done += 1
-        with pytest.raises(EmbeddingConditionError) as err:
-            near_regular_simplex_embedding(
-                simplex_from_sides(["1", "3/5", "3/5"]))
-        assert err.value.deficit == Fraction(-7, 25)
-
-
-def test_c08_triangle_witnesses():
-    with _Budget("C8 triangle witnesses", 5.0):
-        w = right_triangle_embedding(3, 4)
-        assert w.diam_sq == 25 and diameter(w.host).sq == 25
-        assert find_congruence(w.embedded, w.pattern) is not None
-        w = right_triangle_embedding(1, 1)
-        assert w.diam_sq == 2 and diameter(w.host).sq == 2
-        assert find_congruence(w.embedded, w.pattern) is not None
-        w = acute_triangle_embedding(4, 5, 6)
-        assert w.diam_sq == 36
-        assert w.details["a_sq"] == w.details["l2_sq"] + w.details["x_sq"]
-        assert w.details["c_sq"] == w.details["l1_sq"] + w.details["l2_sq"] \
-            + w.details["x_sq"]
-        assert find_congruence(w.embedded, w.pattern) is not None
-        w = acute_triangle_embedding(1, 1, 1)
-        assert w.diam_sq == 1
-        assert find_congruence(w.embedded, regular_simplex(3, 1.0)) is not None
-
-
-def test_c09_degeneracy_boundary():
-    with _Budget("C9 degeneracy boundary", 120.0):
-        tri160 = isosceles_apex_triangle(160.0)
-        res = min_extension_diameter(extension_problem(tri160, 0, 1),
-                                     restarts=50, seed=9)
-        assert res.value > 1.0 + 1e-4
-
-        tri150 = isosceles_apex_triangle(150.0)
-        pts = tri150.as_array()
-        q = circumcenter(*tri150.points)
-        assert abs(float(np.linalg.norm(q - pts[0])) - 1.0) <= 1e-9
-        witness_value = max(1.0, *(float(np.linalg.norm(q - p)) for p in pts))
-        assert witness_value <= 1.0 + 1e-6
-
-        acute = realize(simplex_from_sides([0.9, 0.95, 1.0]))
-        rep = degeneracy_evidence(acute, 1, restarts=50, seed=9)
-        assert all(a["verdict"] == "REFUTED" for a in rep["anchors"])
-
-
-def test_c10_corner_star_claim():
-    with _Budget("C10 corner-star claim", 300.0):
-        rng = np.random.default_rng(1010)
-        failures = 0
-        for _ in range(1000):
-            tet = random_star_tetrahedron(rng)
-            _, _, val = far_pair_witness(tet)
-            if val >= 0.5:
-                failures += 1
-        assert failures == 0
-
-        adv = far_pair_adversary(restarts=50, seed=10)
-        assert adv["best_max_min"] < 0.5 - 1e-3
-
-        star = cube_corner_set()
-        res = min_extension_diameter(extension_problem(star, 0, 3),
-                                     restarts=50, seed=10)
-        assert res.value > sqrt(2.0) + 1e-3
-
-
-def test_c11_apex_angle_audit():
-    with _Budget("C11 apex angle audit", 60.0):
-        rep = apex_angle_audit(trials=100000, seed=1111)
-        assert rep["violations"] == 0
-        assert rep["max_angle"] <= 150.0 + 1e-6
-
-
-def test_c12_mod8_gadget():
-    with _Budget("C12 mod-8 gadget", 60.0):
-        rep = obtuse_gadget_audit(K=2.0, trials=100000, seed=1212)
-        assert rep["xi"] == 1.0 / 68.0
-        assert rep["monochromatic"] == 0
-        assert rep["boundary_flagged"] >= 0  # excluded and counted
-        # the leg spelling 1 + xi (instead of sqrt(1 + xi)) breaks the
-        # residue argument; the audit finds real monochromatic placements
-        thick = obtuse_gadget_audit(K=2.0, trials=100000, seed=11,
-                                    legs=1.0 + 1.0 / 68.0)
-        assert thick["monochromatic"] > 0
-
-
-def test_c13_kneser_h4_empty():
-    with _Budget("C13 large Kneser H4 empty", 60.0):
-        P = kneser_points(3, 2, 3)
-        assert len(P) == comb(11, 3) == 165
-        H4 = diameter_hypergraph(P, 4)
-        assert H4.n_edges == 0
+test_c01_partition_set_structure = _criterion_test("partition-set-structure")
+test_c02_distance_formula_exact = _criterion_test("partition-distance-formula",
+                                                  _distinct_pairs)
+test_c03_kneser_instance = _criterion_test("kneser-small")
+test_c04_heptagon_fano = _criterion_test("heptagon-fano")
+test_c05_coloring_inequalities = _criterion_test("chromatic-chain")
+test_c06_planar_diameter_bound = _criterion_test("planar-diameter-bound")
+test_c07_near_regular_embedding = _criterion_test("near-regular-embedding")
+test_c08_triangle_witnesses = _criterion_test("triangle-embeddings")
+test_c09_degeneracy_boundary = _criterion_test("apex-degeneracy")
+test_c10_corner_star_claim = _criterion_test("corner-star-extension",
+                                             _more_witnesses)
+test_c11_apex_angle_audit = _criterion_test("apex-angle-audit")
+test_c12_mod8_gadget = _criterion_test("mod8-gadget")
+test_c13_kneser_h4_empty = _criterion_test("kneser-h4-empty")
+test_c14_solver_oracle = _criterion_test("solver-oracle", _enough_instances)
 
 
 @pytest.mark.skipif(not os.environ.get("DIAMRAY_SLOW"),
@@ -280,32 +146,8 @@ def test_c13_kneser_chi_slow():
     print("\nACCEPTANCE C13-slow chi(H3) > 2: PASS")
 
 
-def test_c14_solver_oracle():
-    with _Budget("C14 solver vs brute force", 120.0):
-        instances = []
-        P = kneser_points(2, 2, 2)
-        instances.append(diameter_graph(P))
-        instances.append(diameter_hypergraph(P, 3))
-        R, pat = heptagon_config()
-        instances.append(diameter_graph(R))
-        instances.append(congruent_copies(R, pat).as_hypergraph)
-        instances.append(Hypergraph.make(
-            7, [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7)))
-                for i in range(7)], uniformity=3))
-        for r in (2, 3, 4):
-            instances.append(diameter_hypergraph(regular_simplex(6, 1.0), r))
-        for s in _chain_instances({"chain_sets": 50}, seed=5005):
-            for r in (2, 3, 4):
-                instances.append(diameter_hypergraph(s, r))
-        checked = 0
-        for H in instances:
-            if H.n_vertices > 12:
-                continue
-            ref = brute_force_chromatic(H, max_colors=4)
-            chi, _ = chromatic_number(H)
-            if ref is None:
-                assert chi > 4
-            else:
-                assert chi == ref
-            checked += 1
-        assert checked >= 150
+def test_every_check_has_one_acceptance_test():
+    ids = sorted(cid for cid, _, slow in verify.CHECKS if not slow)
+    assert sorted(CRITERIA) == ids, "a check without a row, or a row without a check"
+    tested = sorted(fn.check_id for fn in globals().values() if hasattr(fn, "check_id"))
+    assert tested == ids, "a row without a test, or a check tested twice"

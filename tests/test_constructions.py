@@ -116,12 +116,15 @@ def test_regular_simplex_basic():
         assert isclose(float(np.linalg.norm(p - centroid)), 1 / sqrt(3),
                        rel_tol=1e-9)
 
-    tet = regular_simplex(4, sqrt(2))
-    M = sq_dist_matrix(tet)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert isclose(M.entries[i][j], 2.0, rel_tol=1e-9)
-    assert tet.dim == 3
+    # the rank cutoff of `realize` is relative, so tiny sides keep all
+    # three dimensions
+    for side in (sqrt(2), 1e-5, 1e5):
+        tet = regular_simplex(4, side)
+        M = sq_dist_matrix(tet)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert isclose(M.entries[i][j], side * side, rel_tol=1e-9)
+        assert tet.dim == 3
 
 
 def test_regular_polygon_chords():
