@@ -82,6 +82,7 @@ from .degeneracy import (
     far_pair_witness,
     min_extension_diameter,
     random_star_tetrahedron,
+    star_witness_values,
 )
 from .verify import VerificationReport, random_lattice_set, verify_paper
 

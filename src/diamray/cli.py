@@ -28,9 +28,8 @@ from .constructions import (
 from .degeneracy import (
     degeneracy_evidence,
     extension_problem,
-    far_pair_witness,
     min_extension_diameter,
-    random_star_tetrahedron,
+    star_witness_values,
 )
 from .geometry import PointSet, diameter
 from .hypergraph import Hypergraph, diameter_hypergraph
@@ -236,6 +235,8 @@ def _cmd_degen(args) -> int:
                 "t": args.t,
                 "diameter": diam,
                 "value": res.value,
+                "lower": res.lower,
+                "certified": res.certified,
                 "excess": res.value - diam,
                 "feasibility_error": res.feasibility_error,
                 "restart_values": list(res.restart_values),
@@ -255,28 +256,19 @@ def _cmd_degen(args) -> int:
 
 
 def _cmd_t5_witness(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-    worst = -np.inf
-    best = np.inf
     try:
-        for _ in range(args.trials):
-            tet = random_star_tetrahedron(rng, dim=args.dim)
-            _, _, val = far_pair_witness(tet)
-            worst = max(worst, val)
-            best = min(best, val)
-            if val >= 0.5:
-                failures += 1
+        values = star_witness_values(args.trials, args.seed, dim=args.dim)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    failures = int((values >= 0.5).sum())
     _emit({
         "schema": 1,
         "trials": args.trials,
         "dim": args.dim,
         "seed": args.seed,
         "failures": failures,
-        "min_coordinate": best,
-        "max_coordinate": worst,
+        "min_coordinate": float(values.min(initial=np.inf)),
+        "max_coordinate": float(values.max(initial=-np.inf)),
         "ok": failures == 0,
     }, args.output)
     return 0 if failures == 0 else 1

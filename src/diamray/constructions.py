@@ -239,11 +239,11 @@ def simplex_from_sides(sides) -> SimplexSpec:
 PSD_TOLERANCE = 1e-8
 
 
-def realize(spec: SimplexSpec, psd_tolerance: float = PSD_TOLERANCE) -> PointSet:
+def realize(spec: SimplexSpec) -> PointSet:
     """Embed a simplex spec in Euclidean space via its Gram factorization.
 
     Vertex 0 sits at the origin; the dimension is the Gram rank. Raises
-    NonRealizableError when an eigenvalue is below -psd_tolerance times the
+    NonRealizableError when an eigenvalue is below -PSD_TOLERANCE times the
     largest one.
     """
     n = spec.n
@@ -256,9 +256,9 @@ def realize(spec: SimplexSpec, psd_tolerance: float = PSD_TOLERANCE) -> PointSet
             G[i - 1, j - 1] = (M[0, i] + M[0, j] - M[i, j]) / 2.0
     w, V = np.linalg.eigh(G)
     scale = w.max()  # positive: the Gram trace is a sum of squared sides
-    if w.min() < -psd_tolerance * scale:
+    if w.min() < -PSD_TOLERANCE * scale:
         raise NonRealizableError(float(w.min()))
-    keep = [i for i in range(len(w)) if w[i] > psd_tolerance * scale]
+    keep = [i for i in range(len(w)) if w[i] > PSD_TOLERANCE * scale]
     keep.sort(key=lambda i: -w[i])
     if not keep:
         keep = [int(np.argmax(w))]

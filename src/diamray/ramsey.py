@@ -194,12 +194,14 @@ def _pair_checks(embedded: PointSet, expected):
     return tuple(checks)
 
 
-def right_triangle_embedding(l1, l2, colors: int = 2) -> EmbeddingWitness:
+def right_triangle_embedding(l1, l2) -> EmbeddingWitness:
     """Embed the right triangle with the given legs into a two-segment brick.
 
     The brick's squared diameter is l1^2 + l2^2, the triangle's hypotenuse,
     and the triangle sits on three of the four brick vertices. A zero leg
-    degenerates the triangle to a segment and drops that factor.
+    degenerates the triangle to a segment and drops that factor. The details
+    are stated for 2 colors, for which a segment factor needs 3 host
+    vertices.
     """
     leg1, leg2 = Fraction(l1), Fraction(l2)
     if leg1 < 0 or leg2 < 0 or (leg1 == 0 and leg2 == 0):
@@ -216,8 +218,8 @@ def right_triangle_embedding(l1, l2, colors: int = 2) -> EmbeddingWitness:
             pattern=embedded, factors=(seg,), embedded=embedded,
             diam_sq=l1_sq, pair_checks=checks, congruent=cong,
             host=seg, embedded_host_indices=(0, 1),
-            details={"degenerate": "segment", "colors": colors,
-                     "segment_host_vertices": colors + 1})
+            details={"degenerate": "segment", "colors": 2,
+                     "segment_host_vertices": 3})
     f1, f2 = segment(leg1), segment(leg2)
     host = cartesian_product(f1, f2)
     # product order: (0,0), (0,l2), (l1,0), (l1,l2)
@@ -239,13 +241,13 @@ def right_triangle_embedding(l1, l2, colors: int = 2) -> EmbeddingWitness:
         diam_sq=diam_sq, pair_checks=checks, congruent=cong,
         host=host, embedded_host_indices=idx,
         details={
-            "l1_sq": l1_sq, "l2_sq": l2_sq, "colors": colors,
-            "segment_host_vertices": colors + 1,
+            "l1_sq": l1_sq, "l2_sq": l2_sq, "colors": 2,
+            "segment_host_vertices": 3,
             "host_diam_sq_ok": close(host_diam.value ** 2, float(diam_sq), REL_TOL),
         })
 
 
-def acute_triangle_embedding(a, b, c, colors: int = 2) -> EmbeddingWitness:
+def acute_triangle_embedding(a, b, c) -> EmbeddingWitness:
     """Embed an acute (or right) triangle into a diameter-preserving product.
 
     With sides a <= b <= c, the product of a right triangle with legs
@@ -268,7 +270,7 @@ def acute_triangle_embedding(a, b, c, colors: int = 2) -> EmbeddingWitness:
     assert a_sq == l2_sq + x_sq and b_sq == l1_sq + x_sq
     assert c_sq == l1_sq + l2_sq + x_sq
     if x_sq == 0:
-        return right_triangle_embedding(sb, sa, colors=colors)
+        return right_triangle_embedding(sb, sa)
 
     x = sqrt(float(x_sq))
     S = regular_simplex(3, x)
@@ -303,7 +305,7 @@ def acute_triangle_embedding(a, b, c, colors: int = 2) -> EmbeddingWitness:
         host=host, embedded_host_indices=idx,
         details={
             "a_sq": a_sq, "b_sq": b_sq, "c_sq": c_sq,
-            "l1_sq": l1_sq, "l2_sq": l2_sq, "x_sq": x_sq, "colors": colors,
+            "l1_sq": l1_sq, "l2_sq": l2_sq, "x_sq": x_sq, "colors": 2,
             "host_diam_sq_ok": close(host_diam.value ** 2, float(c_sq), REL_TOL),
         })
 
@@ -425,10 +427,11 @@ def mod8_color(x) -> int:
     return int(floor(2.0 * norm_sq)) % 8
 
 
-def mod8_near_boundary(x, tol: float = 1e-12) -> bool:
-    """True when 2*|x|^2 sits within tol of an integer (floor is unreliable)."""
+def mod8_near_boundary(x) -> bool:
+    """True when 2*|x|^2 sits within BOUNDARY_TOL of an integer (floor is
+    unreliable)."""
     v = 2.0 * float(sum(float(t) * float(t) for t in x))
-    return abs(v - round(v)) < tol
+    return abs(v - round(v)) < BOUNDARY_TOL
 
 
 def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,

@@ -2,9 +2,11 @@
 
 Every check exercises one of the headline constructions or inequalities at
 desk scale and reports pass/fail with a structured payload. The fast suite
-trims sample counts and optimizer restarts; `FULL` is what the acceptance
-tests run, each check once with a fixed seed. Checks are deterministic given
-the seed, and a seed change may alter sampled instances but never a verdict.
+trims sample counts; `FULL` is what the acceptance tests run, each check
+once with a fixed seed. Both suites run the extension optimizer from one
+start, because its verdicts rest on a duality certificate, not on the
+number of restarts. Checks are deterministic given the seed, and a seed
+change may alter sampled instances but never a verdict.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ from .degeneracy import (
     degeneracy_evidence,
     extension_problem,
     far_pair_adversary,
-    far_pair_witness,
     min_extension_diameter,
-    random_star_tetrahedron,
+    star_witness_values,
 )
 from .geometry import PointSet, circumcenter, diameter, find_congruence, sq_dist
 from .hypergraph import (
@@ -89,7 +90,6 @@ FAST = {
     "chain_sets": 15,
     "planar_sets": 80,
     "embed_samples": 30,
-    "restarts": 8,
     "witness_trials": 200,
     "angle_trials": 20000,
     "gadget_trials": 20000,
@@ -100,7 +100,6 @@ FULL = {
     "chain_sets": 50,
     "planar_sets": 200,
     "embed_samples": 100,
-    "restarts": 50,
     "witness_trials": 1000,
     "angle_trials": 100000,
     "gadget_trials": 100000,
@@ -315,11 +314,10 @@ def check_triangle_embeddings(params: dict, seed: int):
 
 
 def check_apex_degeneracy(params: dict, seed: int):
-    restarts = params["restarts"]
     tri160 = isosceles_apex_triangle(160.0)
     res160 = min_extension_diameter(extension_problem(tri160, 0, 1),
-                                    restarts=restarts, seed=seed)
-    supported = res160.value > 1.0 + 1e-4
+                                    restarts=1, seed=seed)
+    supported = res160.lower > 1.0 + 1e-4
 
     tri150 = isosceles_apex_triangle(150.0)
     q = circumcenter(*tri150.points)
@@ -329,7 +327,7 @@ def check_apex_degeneracy(params: dict, seed: int):
     boundary = witness_val <= 1.0 + 1e-6 and unit_ok
 
     acute = realize(simplex_from_sides([0.9, 0.95, 1.0]))
-    rep = degeneracy_evidence(acute, 1, restarts=restarts, seed=seed)
+    rep = degeneracy_evidence(acute, 1, restarts=1, seed=seed)
     refuted = rep["overall"] == "refuted"
 
     ok = supported and boundary and refuted
@@ -338,25 +336,24 @@ def check_apex_degeneracy(params: dict, seed: int):
         "apex160_supported": supported,
         "apex150_circumcenter_value": witness_val,
         "acute_overall": rep["overall"],
+        "apex160_lower": res160.lower,
+        "certified": res160.certified
+        and all(a["certified"] for a in rep["anchors"]),
     }
 
 
 def check_corner_star_extension(params: dict, seed: int):
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    for _ in range(params["witness_trials"]):
-        tet = random_star_tetrahedron(rng)
-        _, _, val = far_pair_witness(tet)
-        worst = max(worst, val)
+    values = star_witness_values(params["witness_trials"], seed)
+    worst = float(values.max(initial=-np.inf))
     witness_ok = worst < 0.5
 
-    adv = far_pair_adversary(restarts=params["restarts"], seed=seed)
-    adv_ok = adv["best_max_min"] < 0.5 - 1e-3
+    adv = far_pair_adversary(restarts=1, seed=seed)
+    adv_ok = adv["upper_bound"] < 0.5 - 1e-3
 
     star = cube_corner_set()
     res = min_extension_diameter(extension_problem(star, 0, 3),
-                                 restarts=params["restarts"], seed=seed)
-    ext_ok = res.value > sqrt(2.0) + 1e-3
+                                 restarts=1, seed=seed)
+    ext_ok = res.lower > sqrt(2.0) + 1e-3
 
     ok = witness_ok and adv_ok and ext_ok
     return ok, {
@@ -365,6 +362,9 @@ def check_corner_star_extension(params: dict, seed: int):
         "adversary_max_min": adv["best_max_min"],
         "extension_value": res.value,
         "sqrt2": sqrt(2.0),
+        "adversary_upper": adv["upper_bound"],
+        "extension_lower": res.lower,
+        "certified": adv["certified"] and res.certified,
     }
 
 

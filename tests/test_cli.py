@@ -123,6 +123,22 @@ def test_degen_cli(tmp_path, capsys):
     assert code == 0 and doc["overall"] == "degenerate-evidence"
 
 
+def test_degen_cli_reports_certificate(tmp_path, capsys):
+    tri = tmp_path / "tri.json"
+    from diamray import isosceles_apex_triangle
+    tri.write_text(json.dumps(isosceles_apex_triangle(160.0).to_json()))
+    code, doc = _run(capsys, "degen", "--input", str(tri), "-t", "1",
+                     "--anchor", "0", "--restarts", "1")
+    assert code == 0 and doc["certified"] is True
+    assert 1.0 + 1e-4 < doc["lower"] <= doc["value"] <= doc["lower"] + 1e-8
+    code, doc = _run(capsys, "degen", "--input", str(tri), "-t", "1",
+                     "--restarts", "1")
+    assert code == 0
+    for anchor in doc["anchors"]:
+        assert anchor["certified"] is True
+        assert anchor["lower"] <= anchor["value"] + 1e-12
+
+
 def test_degen_cli_reports_optimizer_counts(tmp_path, capsys):
     tri = tmp_path / "tri.json"
     from diamray import isosceles_apex_triangle

@@ -1,9 +1,12 @@
 """Extension optimizer, degeneracy verdicts, and the corner-star witness."""
 
-from math import radians, sin, sqrt
+from math import cos, radians, sin, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from diamray import (
     PointSet,
@@ -22,9 +25,11 @@ from diamray import (
     realize,
     regular_simplex,
     simplex_from_sides,
+    star_witness_values,
 )
 
-RESTARTS = 10  # unit-test budget; acceptance runs the full 50
+RESTARTS = 10  # more than the checks' single start: exercises the multi-start
+ROUNDING = 4e-16  # a few ulps near 1: the closed forms are floats too
 
 
 def test_equilateral_extension_reaches_diameter():
@@ -226,6 +231,22 @@ def test_surrogate_gradients_match_central_differences(beta):
             assert np.abs(grad - want).max() <= 1e-7
 
 
+def test_polish_jacobians_match_central_differences():
+    from diamray.degeneracy import _ExtensionObjective, _frame, _frame_pullback
+
+    rng = np.random.default_rng(14)
+    for base, t in ((cube_corner_set(), 3), (isosceles_apex_triangle(160.0), 1)):
+        obj = _ExtensionObjective(extension_problem(base, 0, t))
+        for _ in range(3):
+            A = rng.standard_normal((obj.base.shape[1], t))
+            Q, R = _frame(A)
+            got = _frame_pullback(Q, R, obj.sq_distance_grads(Q))
+            for k in range(len(got)):
+                want = _central_difference(
+                    lambda a: obj.sq_distances(_frame(a)[0])[k], A)
+                assert np.abs(got[k] - want).max() <= 1e-7
+
+
 def test_qr_frame_is_the_gram_schmidt_frame():
     from diamray.degeneracy import _frame
 
@@ -246,10 +267,71 @@ def test_qr_frame_is_the_gram_schmidt_frame():
 def test_closed_form_corner_star_optima():
     # the adversary's optimum is sqrt(2)/3; squared extension = 3 - 2 * it
     rep = far_pair_adversary(restarts=RESTARTS, seed=5)
-    assert rep["best_max_min"] == pytest.approx(sqrt(2.0) / 3.0, abs=1e-5)
+    exact = sqrt(2.0) / 3.0
+    assert rep["best_max_min"] == pytest.approx(exact, abs=1e-9)
+    assert rep["best_max_min"] - ROUNDING <= exact <= rep["upper_bound"] + ROUNDING
+    assert rep["certified"]
     res = min_extension_diameter(extension_problem(cube_corner_set(), 0, 3),
                                  restarts=RESTARTS, seed=3)
-    assert res.value == pytest.approx(sqrt(3.0 - 2.0 * sqrt(2.0) / 3.0), abs=1e-5)
+    exact = sqrt(3.0 - 2.0 * sqrt(2.0) / 3.0)
+    assert res.value == pytest.approx(exact, abs=1e-9)
+    assert res.lower - ROUNDING <= exact <= res.value + ROUNDING
+    assert res.certified
+
+
+@pytest.mark.parametrize("theta", [100, 110, 120, 130, 140, 149, 151, 160,
+                                   170, 179])
+def test_apex_sweep_matches_closed_form(theta):
+    # leg l = 1/(2 sin(theta/2)); the best placement is the in-plane
+    # bisector, value^2 = l^2 + 1 - 2 l cos(theta/2), which exceeds 1
+    # exactly when sin(theta) < 1/2, i.e. theta > 150
+    tri = isosceles_apex_triangle(float(theta))
+    leg = 1.0 / (2.0 * sin(radians(theta / 2.0)))
+    exact = max(1.0, sqrt(leg * leg + 1.0 - 2.0 * leg * cos(radians(theta / 2.0))))
+    res = min_extension_diameter(extension_problem(tri, 0, 1), restarts=1, seed=0)
+    assert res.value == pytest.approx(exact, abs=1e-9)
+    assert res.certified
+    rep = degeneracy_evidence(tri, 1, restarts=1, seed=0)
+    assert (rep["anchors"][0]["verdict"] == "SUPPORTED") == (theta > 150)
+    assert rep["anchors"][0]["certified"]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_duality_bound_never_exceeds_placement(data):
+    n = data.draw(st.integers(3, 6))
+    dim = data.draw(st.integers(2, 3))
+    t = data.draw(st.integers(1, 2))
+    coords = data.draw(st.lists(
+        st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+        min_size=n * dim, max_size=n * dim))
+    pts = np.array(coords).reshape(n, dim)
+    gaps = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    assume(gaps[np.triu_indices(n, 1)].min() > 1e-3)
+    P = PointSet.from_floats(pts)
+    # the default ambient dim + t, where the bound is tight, and the
+    # smallest one allowed, where it need not be
+    ambient = data.draw(st.sampled_from([dim + t, max(dim, t)]))
+    res = min_extension_diameter(extension_problem(P, 0, t, ambient_dim=ambient),
+                                 restarts=1, seed=data.draw(st.integers(0, 99)))
+    assert res.lower <= res.value + 1e-12
+    assert res.feasibility_error <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [9, 10])
+def test_batched_witness_matches_sequential_loop(dim, monkeypatch):
+    from diamray import degeneracy
+
+    rng = np.random.default_rng(9000 + dim)
+    want = [far_pair_witness(random_star_tetrahedron(rng, dim=dim))[2]
+            for _ in range(300)]
+    assert np.array_equal(star_witness_values(300, 9000 + dim, dim=dim), want)
+    # chunks of 7 draws, the last one short
+    monkeypatch.setattr(degeneracy, "_WITNESS_CHUNK", 7 * dim * dim)
+    assert np.array_equal(star_witness_values(300, 9000 + dim, dim=dim), want)
+    with pytest.raises(ValueError):
+        star_witness_values(1, 0, dim=5)
 
 
 def test_feasibility_error_at_machine_precision():
@@ -273,13 +355,34 @@ def test_apex_160_invariant_under_rigid_motion():
     assert res.value == pytest.approx(ref, abs=1e-6)
 
 
-def test_optimizer_counts():
+def test_optimizer_counts(monkeypatch):
+    from diamray import degeneracy
+
+    runs = []
+
+    def recorded(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        runs.append(res)
+        return res
+
+    monkeypatch.setattr(degeneracy, "minimize", recorded)
     prob = extension_problem(isosceles_apex_triangle(160.0), 0, 1)
     res = min_extension_diameter(prob, restarts=3, seed=0)
-    # every L-BFGS-B call computes a gradient; the polish adds value-only ones
-    assert res.evaluations > res.gradients >= 3 * 4
     rep = far_pair_adversary(restarts=3, seed=0)
-    assert rep["evaluations"] == rep["gradients"] >= 3 * 4
+    # each: 3 restarts x 4 L-BFGS-B stages, then one SLSQP polish
+    assert ["multipliers" in r for r in runs] == ([False] * 12 + [True]) * 2
+    counts = ((res.evaluations, res.gradients, runs[:13]),
+              (rep["evaluations"], rep["gradients"], runs[13:]))
+    for evaluations, gradients, part in counts:
+        # each surrogate call is one value and one gradient, and each polish
+        # Jacobian is one gradient; SLSQP evaluates the constraints at every
+        # iterate it scores, plus once to size its problem
+        assert gradients == sum(r.njev for r in part) > 3 * 4 + 1
+        nfev = sum(r.nfev for r in part)
+        assert nfev <= evaluations <= nfev + 1
+        assert evaluations >= gradients
+    # the polish's line search adds value-only evaluations on the apex
+    assert res.evaluations > res.gradients
 
 
 def test_zero_restarts_rejected():
