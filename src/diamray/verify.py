@@ -371,7 +371,7 @@ def check_corner_star_extension(params: dict, seed: int):
 def check_apex_angle_audit(params: dict, seed: int):
     rep = apex_angle_audit(trials=params["angle_trials"], seed=seed)
     return rep["ok"], {"trials": rep["trials"], "violations": rep["violations"],
-                       "max_angle": rep["max_angle"]}
+                       "max_angle": rep["max_angle"], "attempts": rep["attempts"]}
 
 
 def check_mod8_gadget(params: dict, seed: int):

@@ -171,6 +171,26 @@ def test_far_pair_adversary_stays_below_half():
                                            abs=5e-3)
 
 
+def test_uncertified_polish_retries_one_start():
+    # one start stalls at 6.27407 with lower 5.60011; the second start of
+    # the same generator reaches the certified optimum
+    base = PointSet.from_floats([
+        [0.7515689064906406, 1.1617370082174912, 0.12915073279450517],
+        [-1.1461908055464531, -0.6266614736854277, 2.645605125971411],
+        [-1.7927807956520132, 2.929313407321274, 1.5498351720229104],
+        [-0.8412784410443388, 0.8490815370336202, -0.7141107642414748],
+        [-0.7110424041604801, 0.022817701167177518, -2.8996630701877377],
+        [-0.0385706403396231, 2.829590480681328, -1.2872086272865293]])
+    prob = extension_problem(base, 3, 1)
+    res = min_extension_diameter(prob, restarts=1, seed=13)
+    assert res.certified and len(res.restart_values) == 2
+    assert res.lower <= res.value
+    assert res.value == pytest.approx(6.263140322700314, abs=1e-9)
+    two = min_extension_diameter(prob, restarts=2, seed=13)
+    assert two.certified and two.restart_values == res.restart_values
+    assert res.value == pytest.approx(two.value, abs=1e-12)
+
+
 def test_extension_deterministic_given_seed():
     tri = isosceles_apex_triangle(155.0)
     prob = extension_problem(tri, 0, 1)
@@ -184,6 +204,33 @@ def test_apex_angle_audit_small():
     rep = apex_angle_audit(trials=20000, seed=6)
     assert rep["ok"] and rep["violations"] == 0
     assert rep["max_angle"] <= 150.0 + 1e-6
+    # the boundary stratum samples where the lemma is tight
+    assert rep["max_angle"] > 149.0
+
+
+def test_apex_angle_audit_draws_at_most_twice_its_trials():
+    rep = apex_angle_audit(trials=100000, seed=1111)
+    assert rep["trials"] == 100000 and rep["ok"]
+    assert rep["attempts"] <= 2 * rep["trials"]
+
+
+@pytest.mark.parametrize("boundary", [False, True])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_apex_configurations_satisfy_hypothesis(dim, boundary):
+    from diamray.degeneracy import _apex_configurations
+
+    p1, p2, p3 = _apex_configurations(np.random.default_rng(dim), 4096, dim,
+                                      boundary)
+    assert len(p1) > 1000 and p1.shape == p2.shape == p3.shape == (len(p1), dim)
+    # q is the origin
+    r = np.linalg.norm(p1, axis=1)
+    assert np.all(np.linalg.norm(p2, axis=1) <= r)
+    assert np.all(np.linalg.norm(p3, axis=1) <= r)
+    assert np.all(r <= np.linalg.norm(p2 - p3, axis=1))
+    assert np.abs(r - 1.0).max() <= 1e-15
+    if boundary:  # just inside the sphere, where the lemma is tight
+        for p in (p2, p3):
+            assert np.abs(np.linalg.norm(p, axis=1) - (1.0 - 1e-12)).max() <= 1e-14
 
 
 def test_apex_angle_boundary_witness():
