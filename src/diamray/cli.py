@@ -186,6 +186,7 @@ def _cmd_arrow(args) -> int:
         "colors": args.r,
         "num_copies": res.num_copies,
         "evading": list(res.evading.colors) if res.evading else None,
+        "pattern_automorphisms": res.pattern_automorphisms,
     }, args.output)
     return 0
 

@@ -6,15 +6,29 @@ arithmetic lanes: integer/Fraction coordinates whose squared distances are
 exact, and float coordinates whose squared distances a, b match when
 |a - b| <= tol * max(a, b), a rule that does not depend on scale. Congruence
 and congruent-copy search share one backtracker over per-distance bitsets.
-All containers are frozen; every operation is a pure function.
+
+The copy search finds each copy once. A copy is the image of |Aut(P)|
+maps, where Aut(P) is the group of permutations of the pattern that keep
+its distance classes: one squared distance in the exact lane, a chain of
+distances linked by the float rule in the float lane. Along the placement
+order, orbit k is the orbit of the k-th point under the pointwise
+stabiliser of the points before it (Sims' stabiliser chain), and a later
+point of orbit k may only land above the image of the k-th point. This
+keeps exactly the lexicographically least map of each coset. The float
+lane takes the reduction only when every distance of a class matches the
+same host pairs, which makes a map composed with an automorphism keep all
+distances again; otherwise it enumerates every map. All containers are
+frozen; every operation is a pure function.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import acos, degrees, sqrt
+from math import acos, degrees, prod, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -315,20 +329,20 @@ def _pattern_order(M: SqDistMatrix) -> list:
     return sorted(range(M.n), key=lambda i: (-distinct[i], i))
 
 
-def _near_bitsets(MQ: SqDistMatrix, keys, eps: float | None) -> list:
+def _near_bitsets(entries, keys, eps: float | None) -> list:
     """near[h][x]: bitset of the host points at squared distance x from h.
 
     Exact when eps is None; otherwise a float x matches a host distance y
     when |x - y| <= eps * max(x, y), a rule with no absolute floor.
     """
-    near = [dict.fromkeys(keys, 0) for _ in range(MQ.n)]
+    near = [dict.fromkeys(keys, 0) for _ in entries]
     if eps is None:
-        for bits, row in zip(near, MQ.entries):
+        for bits, row in zip(near, entries):
             for g, y in enumerate(row):
                 if y in bits:
                     bits[y] |= 1 << g
         return near
-    D = np.array(MQ.entries, dtype=float)
+    D = np.array(entries, dtype=float)
     for x in keys:
         hit = np.abs(D - x) <= eps * np.maximum(D, x)
         packed = np.packbits(hit, axis=1, bitorder="little")
@@ -337,40 +351,140 @@ def _near_bitsets(MQ: SqDistMatrix, keys, eps: float | None) -> list:
     return near
 
 
-def _distance_preserving_maps(MP: SqDistMatrix, MQ: SqDistMatrix):
-    """Every injective map of a pattern into a host that keeps all squared
-    distances, as a tuple m with m[p] the host point of pattern point p.
+def _links(rows, order) -> list:
+    """links[k]: (depth i, squared distance) for each point placed before
+    order[k], the distances the k-th placement must keep."""
+    return [[(i, rows[p][q]) for i, q in enumerate(order[:k])]
+            for k, p in enumerate(order)]
 
-    Pattern points are placed in `_pattern_order`, host points are tried in
-    ascending index. The candidates of the k-th pattern point are the AND
-    of the `_near_bitsets` rows of the host points already placed, at the
-    pattern's distances, minus the used points (Ullmann's refinement).
+
+def _placements(links, near, above, prefix=()):
+    """Depth-first search placing one pattern point per depth, after the
+    host points `prefix` taken as given; yields the list of host points by
+    depth (one shared list, rewritten as the search goes on).
+
+    Host points are tried in ascending index. The candidates at depth k are
+    the unused points, ANDed with the `near` rows of the host points already
+    placed at the distances of links[k] (Ullmann's refinement), and above
+    the image of every depth listed in above[k].
     """
-    exact = MP.exact and MQ.exact
-    rows = MP.entries if exact else [[float(x) for x in r] for r in MP.entries]
-    near = _near_bitsets(MQ, {x for r in rows for x in r},
-                         None if exact else max(MP.tolerance, MQ.tolerance))
-    order = _pattern_order(MP)
-    links = [[(i, rows[p][q]) for i, q in enumerate(order[:k])]
-             for k, p in enumerate(order)]
-    depth_of = sorted(range(len(order)), key=order.__getitem__)
-    image = [0] * len(order)
-    last = len(order) - 1
+    image = list(prefix) + [0] * (len(links) - len(prefix))
+    last = len(links) - 1
 
     def extend(k: int, free: int):
         cand = free
         for i, x in links[k]:
             cand &= near[image[i]][x]
+        if above[k]:
+            cand &= -2 << max(map(image.__getitem__, above[k]))
         while cand:
             low = cand & -cand
             cand ^= low
             image[k] = low.bit_length() - 1
             if k == last:
-                yield tuple(map(image.__getitem__, depth_of))
+                yield image
             else:
                 yield from extend(k + 1, free ^ low)
 
-    return extend(0, (1 << MQ.n) - 1)
+    free = (1 << len(near)) - 1
+    for h in prefix:
+        free ^= 1 << h
+    return extend(len(prefix), free)
+
+
+def _distance_classes(rows, eps: float | None):
+    """The pattern's distance classes and its matrix of class labels.
+
+    Exact (eps None): one class per squared distance. Float: the sorted
+    distances are cut wherever two neighbours do not match under the lane's
+    rule, so a class is a chain of matching distances. The diagonal gets
+    label 0, every class a label from 1 on.
+    """
+    classes = []
+    for x in sorted({x for i, r in enumerate(rows) for j, x in enumerate(r) if i != j}):
+        if classes and eps is not None and x - classes[-1][-1] <= eps * x:
+            classes[-1].append(x)
+        else:
+            classes.append([x])
+    label = {x: c for c, chain in enumerate(classes, 1) for x in chain}
+    labels = [[0 if i == j else label[x] for j, x in enumerate(r)]
+              for i, r in enumerate(rows)]
+    return classes, labels
+
+
+def _orbit_chain(labels, order) -> list:
+    """orbits[k]: the orbit of order[k] under the label-preserving
+    permutations that fix order[:k] pointwise.
+
+    A point q joins when one search of the pattern into itself finds such a
+    permutation with order[:k] pinned to themselves and order[k] pinned to
+    q; only the q that keep order[k]'s labels to order[:k] are searched.
+    """
+    n = len(order)
+    links = _links(labels, order)
+    near = _near_bitsets(labels, {x for r in labels for x in r}, None)
+    unbounded = [()] * n
+    orbits = []
+    for k, p in enumerate(order):
+        fits = (1 << n) - 1
+        for i, x in links[k]:
+            fits &= near[order[i]][x]
+        orbits.append([p] + [q for q in order[k + 1:] if fits >> q & 1 and next(
+            _placements(links, near, unbounded, order[:k] + [q]), None) is not None])
+    return orbits
+
+
+class _MapSearch(NamedTuple):
+    """The maps of a pattern into a host, lazily, and how they were found.
+
+    automorphisms is |Aut(P)| when the search was asked to reduce by the
+    pattern's symmetry (None otherwise); reduced says whether it did.
+    """
+
+    maps: Iterator[tuple]
+    automorphisms: int | None
+    reduced: bool
+
+
+def _distance_preserving_maps(MP: SqDistMatrix, MQ: SqDistMatrix,
+                              symmetric: bool = False) -> _MapSearch:
+    """Injective maps of a pattern into a host that keep all squared
+    distances, as tuples m with m[p] the host point of pattern point p.
+
+    Pattern points are placed in `_pattern_order` by `_placements`. Without
+    `symmetric`, every such map is enumerated. With it, the maps m and m o s
+    for a pattern automorphism s have the same image, and only the
+    lexicographically least map of each coset m o Aut(P) is kept: along the
+    stabiliser chain of `_orbit_chain` (Sims), a later pattern point q in
+    orbit k must land above the image of order[k]. Aut(P) is the group of
+    permutations preserving the labels of `_distance_classes`.
+
+    In the float lane the reduction is sound only if each class's distances
+    match the same host pairs, for then m o s keeps every distance when m
+    does. Otherwise, when a host distance matches some but not all
+    distances of one class, every map is enumerated and `reduced` is False.
+    """
+    exact = MP.exact and MQ.exact
+    eps = None if exact else max(MP.tolerance, MQ.tolerance)
+    rows = MP.entries if exact else [[float(x) for x in r] for r in MP.entries]
+    near = _near_bitsets(MQ.entries, {x for r in rows for x in r}, eps)
+    order = _pattern_order(MP)
+    n = len(order)
+    above = [()] * n
+    automorphisms, reduced = None, False
+    if symmetric:
+        classes, labels = _distance_classes(rows, eps)
+        orbits = _orbit_chain(labels, order)
+        automorphisms = prod(map(len, orbits))
+        reduced = all(bits[x] == bits[chain[0]]
+                      for chain in classes for x in chain[1:] for bits in near)
+        if reduced:
+            above = [tuple(k for k in range(j) if order[j] in orbits[k])
+                     for j in range(n)]
+    depth_of = sorted(range(n), key=order.__getitem__)
+    placed = _placements(_links(rows, order), near, above)
+    maps = (tuple(map(image.__getitem__, depth_of)) for image in placed)
+    return _MapSearch(maps, automorphisms, reduced)
 
 
 def find_congruence(P: PointSet, Q: PointSet) -> CongruenceMap | None:
@@ -381,8 +495,8 @@ def find_congruence(P: PointSet, Q: PointSet) -> CongruenceMap | None:
     """
     if len(P) != len(Q):
         raise ValueError("congruence needs equal cardinalities")
-    mapping = next(_distance_preserving_maps(sq_dist_matrix(P), sq_dist_matrix(Q)),
-                   None)
+    search = _distance_preserving_maps(sq_dist_matrix(P), sq_dist_matrix(Q))
+    mapping = next(search.maps, None)
     return None if mapping is None else CongruenceMap(mapping)
 
 

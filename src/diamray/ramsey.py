@@ -45,11 +45,18 @@ BOUNDARY_TOL = 1e-12  # the mod-8 audit skips 2|x|^2 this close to an integer
 
 @dataclass(frozen=True)
 class CopyFamily:
-    """All subsets of the host congruent to the pattern, as sorted tuples."""
+    """All subsets of the host congruent to the pattern, as sorted tuples.
+
+    automorphisms is |Aut(P)|, the order of the pattern's distance-class
+    symmetry group; reduced is False when the float guard of the copy search
+    fell back to enumerating every map.
+    """
 
     host: PointSet
     pattern: PointSet
     copies: tuple
+    automorphisms: int
+    reduced: bool
 
     @property
     def as_hypergraph(self) -> Hypergraph:
@@ -60,13 +67,22 @@ class CopyFamily:
 
 
 def congruent_copies(R: PointSet, P: PointSet) -> CopyFamily:
-    """Enumerate every |P|-subset of R congruent to P, each exactly once."""
+    """Enumerate every |P|-subset of R congruent to P, each exactly once.
+
+    Each copy is the image of |Aut(P)| distance-preserving maps; the search
+    keeps one of them, the least along the pattern's stabiliser chain (see
+    `geometry._distance_preserving_maps`). In the float lane it enumerates
+    every map instead when a host distance matches only part of a class of
+    pattern distances (`reduced` is False). The copies come out sorted
+    either way.
+    """
     if len(P) > len(R):
         raise ValueError("pattern larger than host")
     # the host's matrix first: bench/tracing.py counts the first one's pairs
     MR = sq_dist_matrix(R)
-    maps = _distance_preserving_maps(sq_dist_matrix(P), MR)
-    return CopyFamily(R, P, tuple(sorted({tuple(sorted(m)) for m in maps})))
+    search = _distance_preserving_maps(sq_dist_matrix(P), MR, symmetric=True)
+    copies = tuple(sorted({tuple(sorted(m)) for m in search.maps}))
+    return CopyFamily(R, P, copies, search.automorphisms, search.reduced)
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,7 @@ class ArrowResult:
     arrows: bool
     num_copies: int
     evading: Coloring | None
+    pattern_automorphisms: int
 
 
 def arrows(R: PointSet, P: PointSet, r: int) -> ArrowResult:
@@ -86,9 +103,8 @@ def arrows(R: PointSet, P: PointSet, r: int) -> ArrowResult:
         raise ValueError("need at least one color")
     family = congruent_copies(R, P)
     evading = colorable(family.as_hypergraph, r)
-    if evading is None:
-        return ArrowResult(True, len(family), None)
-    return ArrowResult(False, len(family), evading)
+    return ArrowResult(evading is None, len(family), evading,
+                       family.automorphisms)
 
 
 def regular_simplex_arrow(d: int, r: int, side: float = 1.0,

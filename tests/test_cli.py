@@ -91,6 +91,7 @@ def test_arrow_heptagon(tmp_path, capsys):
                      "--pattern", str(pat), "-r", "2")
     assert code == 0
     assert doc["arrows"] is True and doc["num_copies"] == 14
+    assert doc["pattern_automorphisms"] == 1
     code, doc = _run(capsys, "arrow", "--host", str(host),
                      "--pattern", str(pat), "-r", "3")
     assert code == 0 and doc["arrows"] is False

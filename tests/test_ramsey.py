@@ -6,6 +6,8 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamray import (
     PointSet,
@@ -30,6 +32,7 @@ from diamray import (
     simplex_from_sides,
     EmbeddingConditionError,
 )
+from diamray.geometry import _distance_preserving_maps
 
 
 def _heptagon_copy_census():
@@ -289,6 +292,99 @@ def test_copies_match_brute_force_subsets():
                     break
         assert fam.copies == tuple(sorted(direct))
         assert tuple(pat_idx) in direct
+
+
+def _unreduced(R, P):
+    """Every distance-preserving map of P into R, none skipped by symmetry."""
+    return list(_distance_preserving_maps(sq_dist_matrix(P), sq_dist_matrix(R)).maps)
+
+
+def _copies_of(maps):
+    return tuple(sorted({tuple(sorted(m)) for m in maps}))
+
+
+def test_orbit_stabiliser_counts():
+    # exact lane: each copy is the image of exactly |Aut(P)| maps
+    cube6 = PointSet.exact([tuple((v >> c) & 1 for c in range(6)) for v in range(64)])
+    square = PointSet.exact([(0, 0), (1, 0), (1, 1), (0, 1)])
+    basis = PointSet.exact([tuple(int(i == j) for j in range(7)) for i in range(7)])
+    for R, P, copies, automorphisms in ((cube6, square, 240, 8),
+                                        (basis, basis.select(range(6)), 7, 720)):
+        fam = congruent_copies(R, P)
+        assert (len(fam), fam.automorphisms, fam.reduced) == (copies, automorphisms, True)
+        maps = _unreduced(R, P)
+        assert len(maps) == len(fam) * fam.automorphisms
+        assert _copies_of(maps) == fam.copies
+    # the heptagon triangle (0, 1, 3) is scalene: one map per copy
+    R, P = heptagon_config()
+    fam = congruent_copies(R, P)
+    assert (len(fam), fam.automorphisms, fam.reduced) == (14, 1, True)
+    assert len(_unreduced(R, P)) == 14
+
+
+def test_simplex_arrow_search_finds_each_copy_once():
+    host, pattern = regular_simplex(11, 1.0), regular_simplex(6, 1.0)
+    search = _distance_preserving_maps(sq_dist_matrix(pattern), sq_dist_matrix(host),
+                                       symmetric=True)
+    assert (search.automorphisms, search.reduced) == (720, True)
+    maps = list(search.maps)
+    assert len(maps) == 462 == len(set(map(frozenset, maps)))
+
+
+def test_arrow_reports_pattern_automorphisms():
+    R, P = heptagon_config()
+    assert arrows(R, P, 2).pattern_automorphisms == 1
+    S = regular_simplex(4, 1.0)
+    assert arrows(S, S, 2).pattern_automorphisms == 24
+
+
+_lattice = st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(0, 3)] * dim), min_size=3, max_size=9, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice, st.data())
+def test_reduced_copies_match_every_map(points, data):
+    # the symmetry reduction keeps every copy the full enumeration finds, in
+    # the exact lane and in the float lane after a rotation, a translation
+    # and a scaling by up to 10^6 either way
+    R = PointSet.exact(points)
+    k = data.draw(st.integers(2, min(5, len(points))))
+    idx = sorted(data.draw(st.lists(st.integers(0, len(points) - 1),
+                                    min_size=k, max_size=k, unique=True)))
+    fam = congruent_copies(R, R.select(idx))
+    maps = _unreduced(R, R.select(idx))
+    assert fam.reduced and tuple(idx) in fam.copies
+    assert fam.copies == _copies_of(maps)
+    assert len(maps) == len(fam) * fam.automorphisms
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    dim = len(points[0]) + 1
+    A = np.hstack([np.array(points, dtype=float), np.zeros((len(points), 1))])
+    scale = 10.0 ** data.draw(st.floats(-6.0, 6.0))
+    Rf = PointSet.from_floats((A @ random_orthogonal(dim, rng).T + rng.standard_normal(dim))
+                              * scale)
+    famf = congruent_copies(Rf, Rf.select(idx))
+    assert famf.reduced and famf.automorphisms == fam.automorphisms
+    assert famf.copies == _copies_of(_unreduced(Rf, Rf.select(idx))) == fam.copies
+
+
+def test_float_guard_falls_back_near_threshold():
+    # the pattern's squared sides 1 and 1 + 0.9 eps match under the float
+    # rule, so they form one class and swapping the end points is an
+    # automorphism; the host distance 1 + 1.8 eps matches the second but
+    # not the first. The copy {0, 1, 2} is then reached only by a map whose
+    # twin under the swap, its least map, breaks a distance: a reduced
+    # search would miss it, so the guard enumerates every map.
+    eps = 1e-9
+    s, t = sqrt(1 + 0.9 * eps), sqrt(1 + 1.8 * eps)
+    P = PointSet.from_floats([[0.0], [1.0], [1.0 + s]])
+    R = PointSet.from_floats([[-t], [0.0], [1.0], [1.0 + s]])
+    fam = congruent_copies(R, P)
+    assert (fam.automorphisms, fam.reduced) == (2, False)
+    maps = _unreduced(R, P)
+    assert (0, 1, 2) not in maps and (2, 1, 0) in maps
+    assert fam.copies == _copies_of(maps) == ((0, 1, 2), (1, 2, 3))
 
 
 def test_gadget_audit_other_dimensions_clean():
