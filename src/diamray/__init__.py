@@ -16,7 +16,6 @@ from .geometry import (
     angle_at,
     cartesian_product,
     circumcenter,
-    close,
     diameter,
     find_congruence,
     random_orthogonal,

@@ -26,6 +26,8 @@ from .constructions import (
     simplex_from_sides,
 )
 from .degeneracy import (
+    DEFAULT_RESTARTS,
+    SUPPORT_MARGIN,
     degeneracy_evidence,
     extension_problem,
     min_extension_diameter,
@@ -372,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("-t", type=int, required=True, help="simplex dimension")
     p.add_argument("--anchor", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--margin", type=float, default=1e-4)
+    p.add_argument("--margin", type=float, default=SUPPORT_MARGIN)
     p.add_argument("--ambient-dim", type=int, default=None)
     out(p)
 

@@ -14,6 +14,8 @@ from math import ceil
 from .geometry import PointSet
 from .hypergraph import Hypergraph, diameter_hypergraph
 
+CHAIN_GUARD = 40  # chain_report refuses larger sets: chi is found exactly
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -197,15 +199,16 @@ def grouped_coloring(base: Coloring, r: int) -> Coloring:
     return Coloring(tuple(c // (r - 1) for c in base.colors))
 
 
-def chain_report(P: PointSet, r_max: int = 4, guard: int = 40) -> dict:
+def chain_report(P: PointSet, r_max: int = 4) -> dict:
     """Audit the chromatic chain of the diameter hypergraphs of P.
 
     Verifies chi(H_r) <= chi(H_{r-1}), the ratio bound
     chi(H_r) <= ceil(chi(H_2)/(r-1)), and that merging r-1 classes of an
     optimal diameter-graph coloring properly colors H_r.
     """
-    if len(P) > guard:
-        raise ValueError(f"instance too large for exact audit (> {guard} points)")
+    if len(P) > CHAIN_GUARD:
+        raise ValueError(
+            f"instance too large for exact audit (> {CHAIN_GUARD} points)")
     if r_max < 2:
         raise ValueError("need r_max >= 2")
     chis = {}

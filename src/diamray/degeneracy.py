@@ -356,13 +356,13 @@ def min_extension_diameter(prob: ExtensionProblem,
 
 def degeneracy_evidence(P: PointSet, t: int, margin: float = SUPPORT_MARGIN,
                         restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-                        tolerance: float = REFUTE_TOLERANCE,
                         ambient_dim: int | None = None) -> dict:
     """Per-anchor verdicts on t-degeneracy.
 
     SUPPORTED: the duality bound proves every placement exceeds
     diam(P) + margin.
-    REFUTED: some placement achieves diam(P) + tolerance (a counterexample).
+    REFUTED: some placement achieves diam(P) + REFUTE_TOLERANCE (a
+    counterexample).
     Anything in between is INCONCLUSIVE.
     """
     diam = diameter(P).value
@@ -370,7 +370,7 @@ def degeneracy_evidence(P: PointSet, t: int, margin: float = SUPPORT_MARGIN,
     for a in range(len(P)):
         prob = extension_problem(P, a, t, ambient_dim=ambient_dim)
         res = min_extension_diameter(prob, restarts=restarts, seed=seed + a)
-        if res.value <= diam + tolerance:
+        if res.value <= diam + REFUTE_TOLERANCE:
             verdict = "REFUTED"
         elif res.lower > diam + margin:
             verdict = "SUPPORTED"
@@ -388,7 +388,7 @@ def degeneracy_evidence(P: PointSet, t: int, margin: float = SUPPORT_MARGIN,
         "t": t,
         "diameter": diam,
         "margin": margin,
-        "tolerance": tolerance,
+        "tolerance": REFUTE_TOLERANCE,
         "anchors": anchors,
         "overall": overall,
     }

@@ -4,7 +4,8 @@ Everything downstream (diameter graphs, congruent-copy search, embedding
 certificates) works on squared pairwise distances, so this module keeps two
 arithmetic lanes: integer/Fraction coordinates whose squared distances are
 exact, and float coordinates whose squared distances a, b match when
-|a - b| <= tol * max(a, b), a rule that does not depend on scale. Congruence
+|a - b| <= tol * max(a, b) (`_same_distance`), a rule that does not depend
+on scale. Congruence
 and congruent-copy search share one backtracker over per-distance bitsets.
 
 The copy search finds each copy once. A copy is the image of |Aut(P)|
@@ -39,9 +40,10 @@ DEFAULT_TOLERANCE = 1e-9
 Scalar = int | Fraction | float
 
 
-def close(a: float, b: float, eps: float = DEFAULT_TOLERANCE) -> bool:
-    """Scale-aware float equality: |a-b| <= eps * max(1, |a|, |b|)."""
-    return abs(a - b) <= eps * max(1.0, abs(a), abs(b))
+def _same_distance(x: float, y: float, eps: float) -> bool:
+    """The float lane's rule for two squared distances: |x - y| <= eps *
+    max(x, y). It has no absolute floor, so it does not depend on scale."""
+    return abs(x - y) <= eps * max(x, y)
 
 
 def parse_exact(value) -> int | Fraction:
@@ -98,8 +100,12 @@ class PointSet:
             if len(set(self.points)) != len(self.points):
                 raise ValueError("duplicate points")
         else:
+            # an absolute floor of `tolerance` per coordinate: a two-point set
+            # is similar to every segment, so no scale-free rule could reject
+            # [[1e-13], [0.0]] and still accept the unit segment
+            tol = self.tolerance
             for i, j in combinations(range(len(self.points)), 2):
-                if all(close(a, b, self.tolerance)
+                if all(abs(a - b) <= tol * max(1.0, abs(a), abs(b))
                        for a, b in zip(self.points[i], self.points[j])):
                     raise ValueError(f"points {i} and {j} coincide within tolerance")
 
@@ -244,8 +250,10 @@ def sq_dist_matrix(P: PointSet) -> SqDistMatrix:
 class DiameterInfo:
     """Diameter value plus every pair attaining it.
 
-    near_misses lists pairs within 10x tolerance below the attainment
-    threshold; they are reported so borderline float inputs are visible.
+    In the float lane a pair attains the diameter when its squared distance
+    x matches the largest one, best, under the lane's rule: best - x <=
+    tolerance * best. near_misses lists the pairs that match only at 10x
+    the tolerance; they are reported so borderline float inputs are visible.
     """
 
     value: float
@@ -276,22 +284,20 @@ def diameter(P: PointSet) -> DiameterInfo:
                     pairs.append((i, j))
     else:
         # the thresholds need the maximum first: take each row's maximum in
-        # C, then scan only rows whose maximum reaches the near-miss
-        # threshold (sqrt is monotone, so the other rows hold no candidate)
+        # C, then scan only rows whose maximum reaches the near-miss band.
+        # best - x <= eps * best is _same_distance(x, best, eps), as x <= best
         tails = [M[i][i + 1:] for i in range(n - 1)]
         tops = list(map(max, tails))
         best = max(tops)
-        dmax = sqrt(float(best))
-        lo = dmax * (1.0 - P.tolerance)
-        lo_near = dmax * (1.0 - 10.0 * P.tolerance)
+        band = P.tolerance * best
+        near_band = 10.0 * P.tolerance * best
         for i, tail in enumerate(tails):
-            if sqrt(tops[i]) < lo_near:
+            if best - tops[i] > near_band:
                 continue
             for j, x in enumerate(tail, i + 1):
-                d = sqrt(x)
-                if d >= lo:
+                if best - x <= band:
                     pairs.append((i, j))
-                elif d >= lo_near:
+                elif best - x <= near_band:
                     near.append((i, j))
     return DiameterInfo(sqrt(float(best)), best, tuple(pairs), tuple(near))
 
@@ -333,7 +339,7 @@ def _near_bitsets(entries, keys, eps: float | None) -> list:
     """near[h][x]: bitset of the host points at squared distance x from h.
 
     Exact when eps is None; otherwise a float x matches a host distance y
-    when |x - y| <= eps * max(x, y), a rule with no absolute floor.
+    by `_same_distance` with eps, applied to the whole matrix at once.
     """
     near = [dict.fromkeys(keys, 0) for _ in entries]
     if eps is None:
@@ -402,7 +408,7 @@ def _distance_classes(rows, eps: float | None):
     """
     classes = []
     for x in sorted({x for i, r in enumerate(rows) for j, x in enumerate(r) if i != j}):
-        if classes and eps is not None and x - classes[-1][-1] <= eps * x:
+        if classes and eps is not None and _same_distance(classes[-1][-1], x, eps):
             classes[-1].append(x)
         else:
             classes.append([x])

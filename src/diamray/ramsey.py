@@ -4,18 +4,20 @@ R arrows P with r colors when every r-coloring of R leaves some congruent
 copy of P monochromatic; deciding that reduces to non-colorability of the
 copy hypergraph. The embedding witnesses certify the constructive half of
 the diameter-preserving host constructions: a pattern embeds into a product
-of regular simplices whose diameter equals the pattern's. Certificates are
-kept in exact rational arithmetic on squared lengths; realizations are
-float and checked against a relative tolerance.
+of regular simplices whose diameter equals the pattern's. One builder,
+`_product_witness`, makes every such witness from the factors and the
+factor vertices of each pattern vertex. Certificates are kept in exact
+rational arithmetic on squared lengths; realizations are float and checked
+against a relative tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import ceil, floor, sqrt
+from math import ceil, floor, prod, sqrt
 
 import numpy as np
 
@@ -25,22 +27,22 @@ from .constructions import (
     regular_simplex,
     realize,
     segment,
-    simplex_from_squared_sides,
 )
 from .geometry import (
     PointSet,
     cartesian_product,
-    close,
     diameter,
     find_congruence,
     sq_dist,
     sq_dist_matrix,
     _distance_preserving_maps,
+    _same_distance,
 )
 from .hypergraph import Hypergraph
 
 REL_TOL = 1e-9  # float realizations against exact squared lengths
 BOUNDARY_TOL = 1e-12  # the mod-8 audit skips 2|x|^2 this close to an integer
+HOST_LIMIT = 64  # embedding witnesses materialize product hosts up to this size
 
 
 @dataclass(frozen=True)
@@ -107,19 +109,18 @@ def arrows(R: PointSet, P: PointSet, r: int) -> ArrowResult:
                        family.automorphisms)
 
 
-def regular_simplex_arrow(d: int, r: int, side: float = 1.0,
-                          exact_limit: int = 12):
+def regular_simplex_arrow(d: int, r: int, exact_limit: int = 12):
     """Host simplex forcing a monochromatic regular d-simplex with r colors.
 
-    The host is the regular simplex with r*d+1 vertices of the same side:
+    The host is the regular simplex with r*d+1 unit-side vertices:
     with r colors some class has at least d+1 vertices and spans a congruent
     copy of the pattern. For hosts up to exact_limit vertices the arrow
     relation is also decided exactly.
     """
     if d < 1 or r < 2:
         raise ValueError("need pattern dimension >= 1 and r >= 2")
-    host = regular_simplex(r * d + 1, side)
-    pattern = regular_simplex(d + 1, side)
+    host = regular_simplex(r * d + 1)
+    pattern = regular_simplex(d + 1)
     class_size = ceil((r * d + 1) / r)
     report = {
         "host_vertices": r * d + 1,
@@ -198,16 +199,50 @@ class EmbeddingConditionError(ValueError):
             f"{float(-deficit):.6g}")
 
 
-def _pair_checks(embedded: PointSet, expected):
+def _pair_checks(embedded: PointSet, side_sq):
     checks = []
     n = len(embedded)
     for i in range(n):
         for j in range(i + 1, n):
             measured = float(sq_dist(embedded.points[i], embedded.points[j], False))
-            exp = expected(i, j)
-            ok = close(measured, float(exp), REL_TOL)
+            exp = side_sq[i][j]
+            ok = _same_distance(measured, float(exp), REL_TOL)
             checks.append(PairCheck(i, j, exp, measured, ok))
     return tuple(checks)
+
+
+def _product_witness(side_sq, factors, corners, diam_sq,
+                     details) -> EmbeddingWitness:
+    """The witness of a pattern placed on vertices of a product of factors.
+
+    Pattern vertex k sits at the product vertex whose f-th coordinate block
+    is factors[f].points[corners[k][f]]; `side_sq` is the pattern's exact
+    squared side matrix, against which every pair is checked. The embedded
+    set is exact when every factor is. The host is materialized while it
+    has at most HOST_LIMIT points, with the pattern's indices in
+    `cartesian_product`'s order (mixed radix, the last factor fastest).
+    """
+    pts = [sum((f.points[c] for f, c in zip(factors, col)), ()) for col in corners]
+    if all(f.is_exact for f in factors):
+        embedded = PointSet.exact(pts)
+    else:
+        embedded = PointSet.from_floats(pts)
+    pattern = realize(SimplexSpec(side_sq))
+    host = idx = None
+    shape = [len(f) for f in factors]
+    if prod(shape) <= HOST_LIMIT:
+        host = reduce(cartesian_product, factors)
+        idx = tuple(int(np.ravel_multi_index(col, shape)) for col in corners)
+    return EmbeddingWitness(
+        pattern=pattern, factors=tuple(factors), embedded=embedded,
+        diam_sq=diam_sq, pair_checks=_pair_checks(embedded, side_sq),
+        congruent=find_congruence(embedded, pattern) is not None,
+        host=host, embedded_host_indices=idx, details=details)
+
+
+def _host_diameter_checked(w: EmbeddingWitness) -> EmbeddingWitness:
+    ok = _same_distance(diameter(w.host).value ** 2, float(w.diam_sq), REL_TOL)
+    return replace(w, details={**w.details, "host_diam_sq_ok": ok})
 
 
 def right_triangle_embedding(l1, l2) -> EmbeddingWitness:
@@ -226,41 +261,15 @@ def right_triangle_embedding(l1, l2) -> EmbeddingWitness:
         leg1, leg2 = leg2, leg1
     l1_sq, l2_sq = leg1 * leg1, leg2 * leg2
     if leg2 == 0:
-        seg = segment(leg1)
-        embedded = PointSet.from_floats([[0.0], [float(leg1)]])
-        checks = _pair_checks(embedded, lambda i, j: l1_sq)
-        cong = find_congruence(embedded, seg) is not None
-        return EmbeddingWitness(
-            pattern=embedded, factors=(seg,), embedded=embedded,
-            diam_sq=l1_sq, pair_checks=checks, congruent=cong,
-            host=seg, embedded_host_indices=(0, 1),
-            details={"degenerate": "segment", "colors": 2,
-                     "segment_host_vertices": 3})
-    f1, f2 = segment(leg1), segment(leg2)
-    host = cartesian_product(f1, f2)
-    # product order: (0,0), (0,l2), (l1,0), (l1,l2)
-    idx = (0, 2, 3)
-    embedded = host.select(idx)
-    side_sq = {
-        (0, 1): l1_sq,
-        (1, 2): l2_sq,
-        (0, 2): l1_sq + l2_sq,
-    }
-    checks = _pair_checks(embedded, lambda i, j: side_sq[(i, j)])
-    pattern = realize(simplex_from_squared_sides(
-        [[0, l1_sq, l1_sq + l2_sq], [l1_sq, 0, l2_sq], [l1_sq + l2_sq, l2_sq, 0]]))
-    cong = find_congruence(embedded, pattern) is not None
+        return _product_witness(
+            ((0, l1_sq), (l1_sq, 0)), (segment(leg1),), ((0,), (1,)), l1_sq,
+            {"degenerate": "segment", "colors": 2, "segment_host_vertices": 3})
     diam_sq = l1_sq + l2_sq
-    host_diam = diameter(host)
-    return EmbeddingWitness(
-        pattern=pattern, factors=(f1, f2), embedded=embedded,
-        diam_sq=diam_sq, pair_checks=checks, congruent=cong,
-        host=host, embedded_host_indices=idx,
-        details={
-            "l1_sq": l1_sq, "l2_sq": l2_sq, "colors": 2,
-            "segment_host_vertices": 3,
-            "host_diam_sq_ok": close(host_diam.value ** 2, float(diam_sq), REL_TOL),
-        })
+    # brick vertices (0, 0), (l1, 0), (l1, l2)
+    return _host_diameter_checked(_product_witness(
+        ((0, l1_sq, diam_sq), (l1_sq, 0, l2_sq), (diam_sq, l2_sq, 0)),
+        (segment(leg1), segment(leg2)), ((0, 0), (1, 0), (1, 1)), diam_sq,
+        {"l1_sq": l1_sq, "l2_sq": l2_sq, "colors": 2, "segment_host_vertices": 3}))
 
 
 def acute_triangle_embedding(a, b, c) -> EmbeddingWitness:
@@ -288,42 +297,23 @@ def acute_triangle_embedding(a, b, c) -> EmbeddingWitness:
     if x_sq == 0:
         return right_triangle_embedding(sb, sa)
 
-    x = sqrt(float(x_sq))
-    S = regular_simplex(3, x)
-    if l2_sq == 0 and l1_sq == 0:
-        # equilateral: the product collapses to the equilateral factor
-        embedded = S
-        factors = (S,)
-        host = S
-        idx = (0, 1, 2)
+    S = regular_simplex(3, sqrt(float(x_sq)))
+    # the right-triangle (or segment) factor T0 first, then S; S vertex k
+    # goes to pattern vertex k
+    if l1_sq == 0:
+        # equilateral (l2_sq <= l1_sq): the product collapses to S
+        factors, corners = (S,), ((0,), (1,), (2,))
     elif l2_sq == 0:
-        T0 = segment(sqrt(float(l1_sq)))
-        host = cartesian_product(T0, S)
-        idx = (0, 4, 5)
-        embedded = host.select(idx)
-        factors = (T0, S)
+        factors = (segment(sqrt(float(l1_sq))), S)
+        corners = ((0, 0), (1, 1), (1, 2))
     else:
         l1f, l2f = sqrt(float(l1_sq)), sqrt(float(l2_sq))
         T0 = PointSet.from_floats([(0.0, 0.0), (l1f, 0.0), (l1f, l2f)])
-        host = cartesian_product(T0, S)
-        idx = (0, 7, 5)
-        embedded = host.select(idx)
-        factors = (T0, S)
-    side_sq = {(0, 1): c_sq, (0, 2): b_sq, (1, 2): a_sq}
-    checks = _pair_checks(embedded, lambda i, j: side_sq[(i, j)])
-    pattern = realize(simplex_from_squared_sides(
-        [[0, c_sq, b_sq], [c_sq, 0, a_sq], [b_sq, a_sq, 0]]))
-    cong = find_congruence(embedded, pattern) is not None
-    host_diam = diameter(host)
-    return EmbeddingWitness(
-        pattern=pattern, factors=factors, embedded=embedded,
-        diam_sq=c_sq, pair_checks=checks, congruent=cong,
-        host=host, embedded_host_indices=idx,
-        details={
-            "a_sq": a_sq, "b_sq": b_sq, "c_sq": c_sq,
-            "l1_sq": l1_sq, "l2_sq": l2_sq, "x_sq": x_sq, "colors": 2,
-            "host_diam_sq_ok": close(host_diam.value ** 2, float(c_sq), REL_TOL),
-        })
+        factors, corners = (T0, S), ((0, 0), (2, 1), (1, 2))
+    return _host_diameter_checked(_product_witness(
+        ((0, c_sq, b_sq), (c_sq, 0, a_sq), (b_sq, a_sq, 0)), factors, corners,
+        c_sq, {"a_sq": a_sq, "b_sq": b_sq, "c_sq": c_sq, "l1_sq": l1_sq,
+               "l2_sq": l2_sq, "x_sq": x_sq, "colors": 2}))
 
 
 def near_regular_simplex_embedding(spec: SimplexSpec,
@@ -355,79 +345,31 @@ def near_regular_simplex_embedding(spec: SimplexSpec,
         raise EmbeddingConditionError(deficit)
     a_sq = deficit
     x_sq = {(i, j): 1 - side_sq[i][j] for i, j in pairs}
-
-    factor_sets = []
-    dropped = []
-    t0 = None
-    if a_sq > 0:
-        t0 = regular_simplex(n, sqrt(float(a_sq)))
-        factor_sets.append(("core", None, t0))
-    else:
-        dropped.append("core")
-    pair_factors = {}
-    for (i, j) in pairs:
-        if x_sq[(i, j)] > 0 and n - 1 >= 2:
-            ps = regular_simplex(n - 1, sqrt(float(x_sq[(i, j)])))
-            pair_factors[(i, j)] = ps
-            factor_sets.append(("pair", (i, j), ps))
-        else:
-            dropped.append(f"pair{(i, j)}")
-    if not factor_sets:
-        raise AssertionError("unreachable: a_sq and all x_ij cannot vanish together")
-
-    def pair_vertex(i: int, j: int, k: int) -> int:
-        if k == i or k == j:
-            return 0
-        others = [v for v in range(n) if v not in (i, j)]
-        return 1 + others.index(k)
-
-    emb_pts = []
-    for k in range(n):
-        coords = []
-        if t0 is not None:
-            coords.extend(t0.points[k])
-        for (i, j) in pairs:
-            if (i, j) in pair_factors:
-                coords.extend(pair_factors[(i, j)].points[pair_vertex(i, j, k)])
-        emb_pts.append(tuple(coords))
-    embedded = PointSet.from_floats(emb_pts)
-
     # product diameter identity, exact on squared lengths
     assert a_sq + sum(x_sq.values()) == 1
     for (k, l) in pairs:
         assert a_sq + sum(x_sq.values()) - x_sq[(k, l)] == side_sq[k][l]
 
-    checks = _pair_checks(embedded, lambda i, j: side_sq[i][j])
-    norm_spec = SimplexSpec(side_sq)
-    pattern = realize(norm_spec)
-    cong = find_congruence(embedded, pattern) is not None
-
-    measured_diam_sq = 0.0
-    for _, _, f in factor_sets:
-        measured_diam_sq += diameter(f).value ** 2
-    factors = tuple(f for _, _, f in factor_sets)
-
-    host = None
-    host_idx = None
-    size = 1
-    for f in factors:
-        size *= len(f)
-    if size <= 64:
-        host = reduce(cartesian_product, factors)
-        host_idx = []
-        for k in range(n):
-            pos = 0
-            for (kind, key, f) in factor_sets:
-                local = k if kind == "core" else pair_vertex(*key, k)
-                pos = pos * len(f) + local
-            host_idx.append(pos)
-        host_idx = tuple(host_idx)
-
-    return EmbeddingWitness(
-        pattern=pattern, factors=factors, embedded=embedded,
-        diam_sq=Fraction(1), pair_checks=checks, congruent=cong,
-        host=host, embedded_host_indices=host_idx,
-        details={
+    # the core simplex's vertex k is pattern vertex k; the pair (i, j)
+    # factor puts i and j on its vertex 0 and the others on 1, 2, ...
+    factors, columns, dropped = [], [], []
+    if a_sq > 0:
+        factors.append(regular_simplex(n, sqrt(float(a_sq))))
+        columns.append(range(n))
+    else:
+        dropped.append("core")
+    for (i, j) in pairs:
+        if x_sq[(i, j)] > 0 and n - 1 >= 2:
+            factors.append(regular_simplex(n - 1, sqrt(float(x_sq[(i, j)]))))
+            others = iter(range(1, n - 1))
+            columns.append([0 if k in (i, j) else next(others) for k in range(n)])
+        else:
+            dropped.append(f"pair{(i, j)}")
+    if not factors:
+        raise AssertionError("unreachable: a_sq and all x_ij cannot vanish together")
+    measured_diam_sq = sum(diameter(f).value ** 2 for f in factors)
+    return _product_witness(
+        side_sq, factors, tuple(zip(*columns)), Fraction(1), {
             "n": n,
             "a_sq": a_sq,
             "sum_side_sq": total,

@@ -6,6 +6,8 @@ from math import cos, isclose, pi, radians, sin, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamray import (
     PointSet,
@@ -21,6 +23,7 @@ from diamray import (
     sq_dist,
     sq_dist_matrix,
 )
+from diamray.geometry import _same_distance
 
 
 def test_unit_segment_matrix():
@@ -298,3 +301,32 @@ def test_int64_path_matches_python_ints_near_the_bound():
                     for p in pts]
             got = sq_dist_matrix(PointSet.exact(pts)).entries
             assert [list(r) for r in got] == want
+
+
+# points of {0..w}^dim; the narrow boxes give sets with several diameter pairs
+_lattice = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda dw: st.lists(st.tuples(*[st.integers(0, dw[1])] * dw[0]),
+                        min_size=2, max_size=9, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice, st.floats(-6.0, 6.0), st.integers(0, 2 ** 32 - 1))
+def test_float_diameter_pairs_match_exact_lane(points, log_scale, seed):
+    # after a rotation, a translation and a scaling by up to 10^6 either way
+    # the float lane finds the exact lane's diameter pairs, and they are the
+    # pairs whose squared distance _same_distance matches to the largest
+    exact = diameter(PointSet.exact(points))
+    rng = np.random.default_rng(seed)
+    dim = len(points[0]) + 1
+    A = np.hstack([np.array(points, dtype=float), np.zeros((len(points), 1))])
+    scale = 10.0 ** log_scale
+    P = PointSet.from_floats(
+        (A @ random_orthogonal(dim, rng).T + rng.standard_normal(dim)) * scale)
+    info = diameter(P)
+    M = sq_dist_matrix(P).entries
+    best = max(map(max, M))
+    matched = tuple((i, j) for i, j in combinations(range(len(P)), 2)
+                    if _same_distance(M[i][j], best, P.tolerance))
+    assert info.pairs == exact.pairs == matched
+    assert info.near_misses == ()
+    assert info.sq == best == pytest.approx(exact.sq * scale * scale, rel=1e-9)

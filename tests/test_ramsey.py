@@ -220,6 +220,25 @@ def test_near_regular_small_host_materialized():
         assert diameter(w.host).value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_embedding_host_indices_locate_embedded_points():
+    # the product host holds every embedded point at its stated index, and
+    # its diameter is the pattern's
+    witnesses = [right_triangle_embedding(3, 4), right_triangle_embedding(1, 0)]
+    witnesses += [acute_triangle_embedding(*sides) for sides in
+                  ((4, 5, 6), (1, 2, 2), (1, 1, 1), (3, 4, 5))]
+    rng = np.random.default_rng(13)
+    near = [[1, 1, 0.99], ["1", "1", "99/100"], [1, 1, 1],
+            [1, 1, 1, 1, 1, 0.99], [0.98, 1, 0.99, 1, 1, 1]]
+    near += [[float(x) for x in rng.uniform(0.97, 1.0, size=3)] for _ in range(3)]
+    for sides in near:
+        w = near_regular_simplex_embedding(simplex_from_sides(sides))
+        assert w.host is not None and len(w.host) <= 64
+        witnesses.append(w)
+    for w in witnesses:
+        assert w.host.select(w.embedded_host_indices).points == w.embedded.points
+        assert diameter(w.host).sq == pytest.approx(float(w.diam_sq), rel=1e-9)
+
+
 def test_mod8_color_values():
     assert mod8_color([0.0, 0.0]) == 0
     # squared norm 1.75 -> floor(3.5) = 3
