@@ -5,8 +5,8 @@ certificates) works on squared pairwise distances, so this module keeps two
 arithmetic lanes: integer/Fraction coordinates whose squared distances are
 exact, and float coordinates whose squared distances a, b match when
 |a - b| <= tol * max(a, b) (`_same_distance`), a rule that does not depend
-on scale. Congruence
-and congruent-copy search share one backtracker over per-distance bitsets.
+on scale. Congruence and congruent-copy search share one backtracker over
+per-distance bitsets.
 
 The copy search finds each copy once. A copy is the image of |Aut(P)|
 maps, where Aut(P) is the group of permutations of the pattern that keep
