@@ -42,6 +42,7 @@ from .constructions import (
 )
 from .hypergraph import (
     Hypergraph,
+    clique_hypergraph,
     diameter_graph,
     diameter_hypergraph,
     hopf_pannwitz_audit,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .geometry import PointSet
-from .hypergraph import Hypergraph, diameter_hypergraph
+from .hypergraph import Hypergraph, clique_hypergraph, diameter_graph
 
 CHAIN_GUARD = 40  # chain_report refuses larger sets: chi is found exactly
 
@@ -214,8 +214,9 @@ def chain_report(P: PointSet, r_max: int = 4) -> dict:
     chis = {}
     witnesses = {}
     hypergraphs = {}
+    G = diameter_graph(P)
     for r in range(2, r_max + 1):
-        hypergraphs[r] = diameter_hypergraph(P, r)
+        hypergraphs[r] = clique_hypergraph(G, r)
         chis[r], witnesses[r] = chromatic_number(hypergraphs[r])
     chain_ok = all(chis[r] <= chis[r - 1] for r in range(3, r_max + 1))
     ratio_ok = all(chis[r] <= ceil(chis[2] / (r - 1)) for r in range(2, r_max + 1))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import cos, pi, radians, sin, sqrt
+from math import cos, isfinite, pi, radians, sin, sqrt
 
 import numpy as np
 
@@ -120,7 +120,7 @@ def regular_polygon(n: int, circumradius: float = 1.0) -> PointSet:
     """Vertices of a regular n-gon on a circle of the given radius."""
     if n < 3:
         raise ValueError("polygon needs n >= 3")
-    if circumradius <= 0:
+    if not circumradius > 0:
         raise ValueError("circumradius must be positive")
     pts = [(circumradius * cos(2 * pi * i / n), circumradius * sin(2 * pi * i / n))
            for i in range(n)]
@@ -198,6 +198,8 @@ class SimplexSpec:
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
+        if not isfinite(x):
+            raise ValueError(f"length {x} is not finite")
         return Fraction(x)
     return Fraction(parse_exact(x))
 

@@ -5,8 +5,12 @@ certificates) works on squared pairwise distances, so this module keeps two
 arithmetic lanes: integer/Fraction coordinates whose squared distances are
 exact, and float coordinates whose squared distances a, b match when
 |a - b| <= tol * max(a, b) (`_same_distance`), a rule that does not depend
-on scale. Congruence and congruent-copy search share one backtracker over
-per-distance bitsets.
+on scale. The exact lane is the same rule at eps = 0, so `diameter` and the
+copy search have one path for both lanes. A set's squared distances are one
+read-only ndarray from one Gram expansion: int64 where that is provably
+exact, Python ints and Fractions (object dtype) otherwise, and float64 from
+centred coordinates in the float lane. Congruence and congruent-copy search
+share one backtracker over per-distance bitsets.
 
 The copy search finds each copy once. A copy is the image of |Aut(P)|
 maps, where Aut(P) is the group of permutations of the pattern that keep
@@ -28,7 +32,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import acos, degrees, prod, sqrt
+from math import acos, degrees, isfinite, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +59,10 @@ def parse_exact(value) -> int | Fraction:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
-        frac = Fraction(value)
+        try:
+            frac = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
         return int(frac) if frac.denominator == 1 else frac
     raise TypeError(f"not an exact scalar: {value!r} (floats need float mode)")
 
@@ -100,6 +107,9 @@ class PointSet:
             if len(set(self.points)) != len(self.points):
                 raise ValueError("duplicate points")
         else:
+            for i, p in enumerate(self.points):
+                if not all(map(isfinite, p)):
+                    raise ValueError(f"point {i} has a non-finite coordinate")
             # an absolute floor of `tolerance` per coordinate: a two-point set
             # is similar to every segment, so no scale-free rule could reject
             # [[1e-13], [0.0]] and still accept the unit segment
@@ -182,9 +192,11 @@ def sq_dist(p, q, exact: bool) -> Scalar:
 
 @dataclass(frozen=True)
 class SqDistMatrix:
-    """Symmetric matrix of squared pairwise distances."""
+    """Symmetric matrix of squared pairwise distances, a read-only ndarray:
+    int64, or Python ints and Fractions (object dtype) in the exact lane,
+    float64 in the float lane."""
 
-    entries: tuple
+    entries: np.ndarray
     exact: bool
     tolerance: float = DEFAULT_TOLERANCE
 
@@ -219,31 +231,25 @@ def _int64_gram_array(points):
 
 
 def sq_dist_matrix(P: PointSet) -> SqDistMatrix:
-    """Squared-distance matrix of a point set; exact when the mode is exact."""
-    n = len(P)
-    A = _int64_gram_array(P.points) if P.is_exact else None
-    if A is not None:
-        # integer fast path: the Gram expansion in int64 stays exact
-        norms = (A * A).sum(axis=1)
-        D = norms[:, None] + norms[None, :] - 2 * (A @ A.T)
-        entries = tuple(map(tuple, D.tolist()))
-        return SqDistMatrix(entries, exact=True, tolerance=P.tolerance)
+    """Squared-distance matrix of a point set from one Gram expansion
+    |a|^2 + |b|^2 - 2 a.b; exact when the mode is exact. Float points are
+    centred first, which keeps the expansion's cancellation error below the
+    distances when the set is small and far from the origin."""
     if P.is_exact:
-        rows = []
-        for i in range(n):
-            rows.append(tuple(sq_dist(P.points[i], P.points[j], True) for j in range(n)))
-        return SqDistMatrix(tuple(rows), exact=True, tolerance=P.tolerance)
-    # centring first keeps the Gram expansion's cancellation error below the
-    # distances when the set is small and far from the origin
-    A = P.as_array()
-    A -= A.mean(axis=0)
+        A = _int64_gram_array(P.points)
+        if A is None:
+            A = np.array(P.points, dtype=object)
+    else:
+        A = P.as_array()
+        A -= A.mean(axis=0)
     norms = (A * A).sum(axis=1)
-    D = norms[:, None] + norms[None, :] - 2.0 * (A @ A.T)
-    D = np.maximum(D, 0.0)
-    D = (D + D.T) / 2.0
-    np.fill_diagonal(D, 0.0)
-    entries = tuple(map(tuple, D.tolist()))
-    return SqDistMatrix(entries, exact=False, tolerance=P.tolerance)
+    D = norms[:, None] + norms[None, :] - 2 * (A @ A.T)
+    if not P.is_exact:
+        D = np.maximum(D, 0.0)
+        D = (D + D.T) / 2.0
+        np.fill_diagonal(D, 0.0)
+    D.flags.writeable = False
+    return SqDistMatrix(D, P.is_exact, P.tolerance)
 
 
 @dataclass(frozen=True)
@@ -264,42 +270,21 @@ class DiameterInfo:
 
 def diameter(P: PointSet) -> DiameterInfo:
     """Largest pairwise distance and the realizing pairs (0 for a singleton)."""
-    n = len(P)
-    if n == 1:
+    if len(P) == 1:
         return DiameterInfo(0.0, 0 if P.is_exact else 0.0, ())
-    M = sq_dist_matrix(P).entries
-    pairs = []
-    near = []
-    if P.is_exact:
-        # one scan: a new maximum restarts the list of pairs
-        best = M[0][1]
-        for i in range(n - 1):
-            row = M[i]
-            for j in range(i + 1, n):
-                x = row[j]
-                if x > best:
-                    best = x
-                    pairs = [(i, j)]
-                elif x == best:
-                    pairs.append((i, j))
-    else:
-        # the thresholds need the maximum first: take each row's maximum in
-        # C, then scan only rows whose maximum reaches the near-miss band.
-        # best - x <= eps * best is _same_distance(x, best, eps), as x <= best
-        tails = [M[i][i + 1:] for i in range(n - 1)]
-        tops = list(map(max, tails))
-        best = max(tops)
-        band = P.tolerance * best
-        near_band = 10.0 * P.tolerance * best
-        for i, tail in enumerate(tails):
-            if best - tops[i] > near_band:
-                continue
-            for j, x in enumerate(tail, i + 1):
-                if best - x <= band:
-                    pairs.append((i, j))
-                elif best - x <= near_band:
-                    near.append((i, j))
-    return DiameterInfo(sqrt(float(best)), best, tuple(pairs), tuple(near))
+    D = sq_dist_matrix(P).entries
+    best = D.item(D.argmax())
+    # best - x <= eps * best is the lane's rule for x and best, as x <= best;
+    # the exact lane's eps = 0 makes it x == best
+    eps = 0 if P.is_exact else P.tolerance
+    gap = best - D
+    i, j = np.nonzero(gap <= 10 * eps * best)
+    upper = i < j
+    i, j = i[upper], j[upper]
+    hit = gap[i, j] <= eps * best
+    return DiameterInfo(sqrt(float(best)), best,
+                        tuple(zip(i[hit].tolist(), j[hit].tolist())),
+                        tuple(zip(i[~hit].tolist(), j[~hit].tolist())))
 
 
 def cartesian_product(P: PointSet, Q: PointSet) -> PointSet:
@@ -329,26 +314,19 @@ class CongruenceMap:
     mapping: tuple
 
 
-def _pattern_order(M: SqDistMatrix) -> list:
+def _pattern_order(rows) -> list:
     # most-constrained first: many distinct distances => few candidate images
-    distinct = [len(set(row)) for row in M.entries]
-    return sorted(range(M.n), key=lambda i: (-distinct[i], i))
+    distinct = [len(set(row)) for row in rows]
+    return sorted(range(len(rows)), key=lambda i: (-distinct[i], i))
 
 
-def _near_bitsets(entries, keys, eps: float | None) -> list:
+def _near_bitsets(D: np.ndarray, keys, eps) -> list:
     """near[h][x]: bitset of the host points at squared distance x from h.
 
-    Exact when eps is None; otherwise a float x matches a host distance y
-    by `_same_distance` with eps, applied to the whole matrix at once.
+    x matches a host distance y by `_same_distance` with eps (equality at
+    eps = 0), applied to the whole matrix D at once.
     """
-    near = [dict.fromkeys(keys, 0) for _ in entries]
-    if eps is None:
-        for bits, row in zip(near, entries):
-            for g, y in enumerate(row):
-                if y in bits:
-                    bits[y] |= 1 << g
-        return near
-    D = np.array(entries, dtype=float)
+    near = [dict.fromkeys(keys, 0) for _ in range(len(D))]
     for x in keys:
         hit = np.abs(D - x) <= eps * np.maximum(D, x)
         packed = np.packbits(hit, axis=1, bitorder="little")
@@ -398,17 +376,17 @@ def _placements(links, near, above, prefix=()):
     return extend(len(prefix), free)
 
 
-def _distance_classes(rows, eps: float | None):
+def _distance_classes(rows, eps):
     """The pattern's distance classes and its matrix of class labels.
 
-    Exact (eps None): one class per squared distance. Float: the sorted
-    distances are cut wherever two neighbours do not match under the lane's
-    rule, so a class is a chain of matching distances. The diagonal gets
-    label 0, every class a label from 1 on.
+    The sorted distances are cut wherever two neighbours do not match under
+    the lane's rule, so a class is a chain of matching distances: one
+    squared distance in the exact lane (eps = 0). The diagonal gets label 0,
+    every class a label from 1 on.
     """
     classes = []
     for x in sorted({x for i, r in enumerate(rows) for j, x in enumerate(r) if i != j}):
-        if classes and eps is not None and _same_distance(classes[-1][-1], x, eps):
+        if classes and _same_distance(classes[-1][-1], x, eps):
             classes[-1].append(x)
         else:
             classes.append([x])
@@ -428,7 +406,7 @@ def _orbit_chain(labels, order) -> list:
     """
     n = len(order)
     links = _links(labels, order)
-    near = _near_bitsets(labels, {x for r in labels for x in r}, None)
+    near = _near_bitsets(np.array(labels), {x for r in labels for x in r}, 0)
     unbounded = [()] * n
     orbits = []
     for k, p in enumerate(order):
@@ -471,10 +449,13 @@ def _distance_preserving_maps(MP: SqDistMatrix, MQ: SqDistMatrix,
     distances of one class, every map is enumerated and `reduced` is False.
     """
     exact = MP.exact and MQ.exact
-    eps = None if exact else max(MP.tolerance, MQ.tolerance)
-    rows = MP.entries if exact else [[float(x) for x in r] for r in MP.entries]
-    near = _near_bitsets(MQ.entries, {x for r in rows for x in r}, eps)
-    order = _pattern_order(MP)
+    eps = 0 if exact else max(MP.tolerance, MQ.tolerance)
+    # a float set on either side puts both matrices in the float lane
+    dtype = None if exact else float
+    rows = np.asarray(MP.entries, dtype).tolist()
+    near = _near_bitsets(np.asarray(MQ.entries, dtype),
+                         {x for r in rows for x in r}, eps)
+    order = _pattern_order(rows)
     n = len(order)
     above = [()] * n
     automorphisms, reduced = None, False

@@ -165,15 +165,20 @@ def _r_cliques(n: int, pair_edges, r: int) -> list:
     return out
 
 
-def diameter_hypergraph(P: PointSet, r: int) -> Hypergraph:
-    """r-uniform hypergraph whose edges are the r-cliques of the diameter graph."""
+def clique_hypergraph(G: Hypergraph, r: int) -> Hypergraph:
+    """r-uniform hypergraph whose edges are the r-cliques of the graph G;
+    G itself for r = 2."""
     if r < 2:
         raise ValueError("uniformity r must be >= 2")
-    base = diameter_graph(P)
     if r == 2:
-        return base
-    cliques = _r_cliques(base.n_vertices, base.edges, r)
-    return Hypergraph.make(len(P), cliques, uniformity=r)
+        return G
+    cliques = _r_cliques(G.n_vertices, G.edges, r)
+    return Hypergraph.make(G.n_vertices, cliques, uniformity=r)
+
+
+def diameter_hypergraph(P: PointSet, r: int) -> Hypergraph:
+    """r-uniform hypergraph whose edges are the r-cliques of the diameter graph."""
+    return clique_hypergraph(diameter_graph(P), r)
 
 
 def verify_intersection_fact(n: int, r: int) -> dict:

@@ -48,6 +48,7 @@ from .degeneracy import (
 from .geometry import PointSet, circumcenter, diameter, find_congruence, sq_dist
 from .hypergraph import (
     Hypergraph,
+    clique_hypergraph,
     diameter_graph,
     diameter_hypergraph,
     hopf_pannwitz_audit,
@@ -392,8 +393,9 @@ def check_mod8_gadget(params: dict, seed: int):
 
 def check_kneser_h4_empty(params: dict, seed: int):
     P = kneser_points(3, 2, 3)
-    H4 = diameter_hypergraph(P, 4)
-    H3 = diameter_hypergraph(P, 3)
+    G = diameter_graph(P)
+    H4 = clique_hypergraph(G, 4)
+    H3 = clique_hypergraph(G, 3)
     ok = len(P) == 165 and H4.n_edges == 0
     return ok, {"points": len(P), "h3_edges": H3.n_edges,
                 "h4_edges": H4.n_edges}
@@ -409,19 +411,20 @@ def check_kneser_chi_slow(params: dict, seed: int):
 
 def _oracle_hypergraphs(params: dict, seed: int):
     out = []
-    P = kneser_points(2, 2, 2)
-    out.append(("kneser-h2", diameter_graph(P)))
-    out.append(("kneser-h3", diameter_hypergraph(P, 3)))
+    G = diameter_graph(kneser_points(2, 2, 2))
+    out.append(("kneser-h2", G))
+    out.append(("kneser-h3", clique_hypergraph(G, 3)))
     R, pat = heptagon_config()
     out.append(("heptagon-h2", diameter_graph(R)))
     out.append(("heptagon-copies", congruent_copies(R, pat).as_hypergraph))
     out.append(("fano", Hypergraph.make(7, FANO_EDGES, uniformity=3)))
-    simplex = regular_simplex(6, 1.0)
+    G = diameter_graph(regular_simplex(6, 1.0))
     for r in (2, 3, 4):
-        out.append((f"simplex6-h{r}", diameter_hypergraph(simplex, r)))
+        out.append((f"simplex6-h{r}", clique_hypergraph(G, r)))
     for idx, s in enumerate(_chain_instances(params["oracle_sets"], seed)):
+        G = diameter_graph(s)
         for r in (2, 3, 4):
-            out.append((f"lattice{idx}-h{r}", diameter_hypergraph(s, r)))
+            out.append((f"lattice{idx}-h{r}", clique_hypergraph(G, r)))
     return [(name, h) for name, h in out if h.n_vertices <= 12]
 
 

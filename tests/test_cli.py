@@ -209,6 +209,39 @@ def test_malformed_values_exit_2(tmp_path, capsys):
     code = main(["chrom", "--input", str(hpath), "--max-colors", "-1"])
     capsys.readouterr()
     assert code == 2
+    # zero denominators and non-finite coordinates are input errors, not
+    # failed checks (exit 1) or NaN in the output
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"mode": "exact", "points": [["1/0", 0], [0, 0]]}))
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"mode": "float", "points": [[NaN, 0], [0, 0], [1, 1]]}')
+    for argv, word in (
+            (["diam", "--input", str(zero)], "1/0"),
+            (["embed", "--sides", "1/0,1,1"], "1/0"),
+            (["construct", "brick", "--lengths", "1/0,2"], "1/0"),
+            (["construct", "simplex", "--sides", "1,1,1/0"], "1/0"),
+            (["construct", "simplex", "--sides", "inf,1,1"], "inf"),
+            (["diam", "--input", str(nan)], "point 0 has a non-finite"),
+            (["construct", "polygon", "-n", "5", "--circumradius", "nan"],
+             "circumradius"),
+            (["construct", "heptagon", "--circumradius", "inf"],
+             "non-finite")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out and word in captured.err, argv
+
+
+def test_diam_beyond_int64(tmp_path, capsys):
+    # squared distances past 2^63 take the Python-int matrix; the JSON keeps
+    # them as exact integers
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        PointSet.exact([[0, 0], [2 ** 31, 0], [0, 2 ** 32]]).to_json()))
+    code, doc = _run(capsys, "diam", "--input", str(path))
+    assert code == 0
+    assert doc["diameter_sq"] == 23058430092136939520
+    assert type(doc["diameter_sq"]) is int
+    assert doc["pairs"] == [[1, 2]]
 
 
 def test_hypergraph_json_coerces_integer_vertices(tmp_path, capsys):

@@ -219,7 +219,8 @@ def test_exact_constructions_have_integer_squared_distances():
               cube_corner_set()):
         M = sq_dist_matrix(P)
         assert M.exact
-        assert all(isinstance(M.entries[i][j], int)
+        E = M.entries.tolist()
+        assert all(isinstance(E[i][j], int)
                    for i in range(len(P)) for j in range(len(P)))
 
 

@@ -28,7 +28,7 @@ from diamray.geometry import _same_distance
 
 def test_unit_segment_matrix():
     M = sq_dist_matrix(segment(1))
-    assert M.entries == ((0, 1), (1, 0))
+    assert M.entries.tolist() == [[0, 1], [1, 0]]
     assert M.exact
 
 
@@ -201,6 +201,17 @@ def test_pointset_validation():
         PointSet.exact([[0.5]])
     with pytest.raises(ValueError):
         PointSet.from_floats([[1e-13], [0.0]])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        # rejected before the distinctness test can misname the fault
+        with pytest.raises(ValueError, match="point 1 has a non-finite"):
+            PointSet.from_floats([[0.0, 0.0], [bad, 0.0], [bad, 1.0]])
+    with pytest.raises(ValueError, match="zero denominator"):
+        PointSet.exact([["1/0", 0]])
+    for radius in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="circumradius"):
+            regular_polygon(5, radius)
+    with pytest.raises(ValueError, match="non-finite"):
+        regular_polygon(7, float("inf"))
 
 
 def test_json_round_trip_exact_rationals():
@@ -301,6 +312,27 @@ def test_int64_path_matches_python_ints_near_the_bound():
                     for p in pts]
             got = sq_dist_matrix(PointSet.exact(pts)).entries
             assert [list(r) for r in got] == want
+
+
+def test_sq_dist_matrix_storage():
+    # one read-only array per set: int64, Python ints and Fractions past
+    # int64 or with rational points, float64 in the float lane
+    cases = (([[0, 0], [3, 4]], np.int64, int, 25),
+             ([[0, 0], [2 ** 40, 0]], object, int, 2 ** 80),
+             ([["1/2", 0], [0, 0]], object, Fraction, Fraction(1, 4)),
+             ([[0.0, 0.0], [3.0, 4.0]], np.float64, float, 25.0))
+    for pts, dtype, kind, far in cases:
+        P = (PointSet.from_floats(pts) if isinstance(pts[0][0], float)
+             else PointSet.exact(pts))
+        M = sq_dist_matrix(P)
+        assert M.entries.dtype == dtype and not M.entries.flags.writeable
+        assert M.entries.tolist() == [[0, far], [far, 0]]
+        assert type(M.entries.tolist()[0][1]) is kind
+        info = diameter(P)
+        assert info.sq == far and type(info.sq) is kind
+        assert info.pairs == ((0, 1),) and type(info.pairs[0][0]) is int
+        with pytest.raises(ValueError):
+            M.entries[0, 1] = 1
 
 
 # points of {0..w}^dim; the narrow boxes give sets with several diameter pairs
