@@ -14,7 +14,6 @@ import sys
 
 from .coloring import chromatic_number, colorable
 from .constructions import (
-    NonRealizableError,
     brick,
     cube_corner_set,
     heptagon_config,
@@ -47,7 +46,7 @@ import numpy as np
 
 
 class CliError(Exception):
-    """Usage or input problem; exits with status 2."""
+    """Usage or input problem; exits with status 2, as does a ValueError."""
 
 
 def _emit(doc: dict, path: str | None = None) -> None:
@@ -103,29 +102,26 @@ def _lengths(text: str):
 
 def _cmd_construct(args) -> int:
     family = args.family
-    try:
-        if family == "kk":
-            ps = kahn_kalai_set(args.n)
-        elif family == "kneser":
-            ps = kneser_points(args.n, args.k, args.r)
-        elif family == "simplex":
-            if args.sides:
-                ps = realize(simplex_from_sides(_lengths(args.sides)))
-            else:
-                ps = regular_simplex(args.vertices, args.side)
-        elif family == "polygon":
-            ps = regular_polygon(args.n, args.circumradius)
-        elif family == "brick":
-            ps = brick(_lengths(args.lengths))
-        elif family == "t5":
-            ps = cube_corner_set()
-        elif family == "heptagon":
-            host, pattern = heptagon_config(args.circumradius)
-            ps = host if args.part == "host" else pattern
+    if family == "kk":
+        ps = kahn_kalai_set(args.n)
+    elif family == "kneser":
+        ps = kneser_points(args.n, args.k, args.r)
+    elif family == "simplex":
+        if args.sides:
+            ps = realize(simplex_from_sides(_lengths(args.sides)))
         else:
-            raise CliError(f"unknown family {family}")
-    except (ValueError, NonRealizableError) as exc:
-        raise CliError(str(exc)) from exc
+            ps = regular_simplex(args.vertices, args.side)
+    elif family == "polygon":
+        ps = regular_polygon(args.n, args.circumradius)
+    elif family == "brick":
+        ps = brick(_lengths(args.lengths))
+    elif family == "t5":
+        ps = cube_corner_set()
+    elif family == "heptagon":
+        host, pattern = heptagon_config(args.circumradius)
+        ps = host if args.part == "host" else pattern
+    else:
+        raise CliError(f"unknown family {family}")
     _emit(ps.to_json(), args.output)
     return 0
 
@@ -145,10 +141,7 @@ def _cmd_diam(args) -> int:
 
 def _cmd_hyper(args) -> int:
     P = _load_point_set(args.input)
-    try:
-        H = diameter_hypergraph(P, args.r)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    H = diameter_hypergraph(P, args.r)
     _emit(H.to_json(), args.output)
     return 0
 
@@ -159,17 +152,14 @@ def _cmd_chrom(args) -> int:
         raise CliError(
             f"{H.n_vertices} vertices: exact search may be very slow; "
             "pass --slow to run anyway")
-    try:
-        if args.max_colors is not None:
-            witness = colorable(H, args.max_colors)
-            doc = {"schema": 1, "colorable": witness is not None,
-                   "num_colors": args.max_colors,
-                   "witness": list(witness.colors) if witness else None}
-            _emit(doc, args.output)
-            return 0
-        chi, witness = chromatic_number(H)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.max_colors is not None:
+        witness = colorable(H, args.max_colors)
+        doc = {"schema": 1, "colorable": witness is not None,
+               "num_colors": args.max_colors,
+               "witness": list(witness.colors) if witness else None}
+        _emit(doc, args.output)
+        return 0
+    chi, witness = chromatic_number(H)
     _emit({"schema": 1, "chi": chi, "witness": list(witness.colors)},
           args.output)
     return 0
@@ -178,10 +168,7 @@ def _cmd_chrom(args) -> int:
 def _cmd_arrow(args) -> int:
     host = _load_point_set(args.host)
     pattern = _load_point_set(args.pattern)
-    try:
-        res = arrows(host, pattern, args.r)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    res = arrows(host, pattern, args.r)
     _emit({
         "schema": 1,
         "arrows": res.arrows,
@@ -194,10 +181,7 @@ def _cmd_arrow(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    try:
-        spec = simplex_from_sides(_lengths(args.sides))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    spec = simplex_from_sides(_lengths(args.sides))
     try:
         witness = near_regular_simplex_embedding(
             spec, normalize=not args.no_normalize)
@@ -205,18 +189,13 @@ def _cmd_embed(args) -> int:
         _emit({"schema": 1, "ok": False, "deficit": float(exc.deficit),
                "reason": str(exc)}, args.output)
         return 1
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     _emit(witness.to_json(), args.output)
     return 0 if witness.ok else 1
 
 
 def _cmd_gadget(args) -> int:
-    try:
-        rep = obtuse_gadget_audit(K=args.K, trials=args.trials, seed=args.seed,
-                                  dim=args.dim, legs=args.legs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rep = obtuse_gadget_audit(K=args.K, trials=args.trials, seed=args.seed,
+                              dim=args.dim, legs=args.legs)
     doc = dict(rep)
     doc["schema"] = 1
     _emit(doc, args.output)
@@ -253,16 +232,13 @@ def _cmd_degen(args) -> int:
                                       ambient_dim=args.ambient_dim)
             rep["schema"] = 1
             _emit(rep, args.output)
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         raise CliError(str(exc)) from exc
     return 0
 
 
 def _cmd_t5_witness(args) -> int:
-    try:
-        values = star_witness_values(args.trials, args.seed, dim=args.dim)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    values = star_witness_values(args.trials, args.seed, dim=args.dim)
     failures = int((values >= 0.5).sum())
     _emit({
         "schema": 1,
@@ -416,7 +392,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except CliError as exc:
+    # the library raises ValueError on bad input; `embed` reports its
+    # EmbeddingConditionError as a result instead
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

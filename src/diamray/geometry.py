@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import acos, degrees, isfinite, prod, sqrt
 from typing import NamedTuple
 
@@ -103,21 +102,37 @@ class PointSet:
         self._check_distinct()
 
     def _check_distinct(self):
+        """Float points coincide when every coordinate meets |a - b| <=
+        tol * max(1, |a|, |b|), an absolute floor: a two-point set is similar
+        to every segment, so no scale-free rule could reject [[1e-13], [0.0]]
+        and still accept the unit segment. Sorted by first coordinate, the
+        slack b - a - tol * max(1, |a|, |b|) grows with b >= a while tol < 1,
+        so each point's scan stops at the first later point out of tolerance
+        (below tol = 1/4, where float rounding cannot break that order). The
+        least coinciding pair (i, j), i < j, is named."""
         if self.mode == EXACT:
             if len(set(self.points)) != len(self.points):
                 raise ValueError("duplicate points")
-        else:
-            for i, p in enumerate(self.points):
-                if not all(map(isfinite, p)):
-                    raise ValueError(f"point {i} has a non-finite coordinate")
-            # an absolute floor of `tolerance` per coordinate: a two-point set
-            # is similar to every segment, so no scale-free rule could reject
-            # [[1e-13], [0.0]] and still accept the unit segment
-            tol = self.tolerance
-            for i, j in combinations(range(len(self.points)), 2):
-                if all(abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-                       for a, b in zip(self.points[i], self.points[j])):
-                    raise ValueError(f"points {i} and {j} coincide within tolerance")
+            return
+        for i, p in enumerate(self.points):
+            if not all(map(isfinite, p)):
+                raise ValueError(f"point {i} has a non-finite coordinate")
+        tol, pts, n = self.tolerance, self.points, len(self.points)
+        order = sorted(range(n), key=lambda k: pts[k][0])
+        pairs = []
+        for s in range(n - 1):
+            p = pts[order[s]]
+            for t in range(s + 1, n):
+                q = pts[order[t]]
+                if not q[0] - p[0] <= tol * max(1.0, abs(p[0]), abs(q[0])):
+                    if tol < 0.25:
+                        break
+                elif all(abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+                         for a, b in zip(p, q)):
+                    pairs.append(sorted((order[s], order[t])))
+        if pairs:
+            i, j = min(pairs)
+            raise ValueError(f"points {i} and {j} coincide within tolerance")
 
     @classmethod
     def exact(cls, points, labels=None) -> "PointSet":

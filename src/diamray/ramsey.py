@@ -43,6 +43,7 @@ from .hypergraph import Hypergraph
 REL_TOL = 1e-9  # float realizations against exact squared lengths
 BOUNDARY_TOL = 1e-12  # the mod-8 audit skips 2|x|^2 this close to an integer
 HOST_LIMIT = 64  # embedding witnesses materialize product hosts up to this size
+_GADGET_BATCH = 16384  # midpoints drawn per batch of the mod-8 audit
 
 
 @dataclass(frozen=True)
@@ -392,16 +393,37 @@ def mod8_near_boundary(x) -> bool:
     return abs(v - round(v)) < BOUNDARY_TOL
 
 
+def _gadget_placements(rng, batch: int, offsets: np.ndarray, K: float) -> tuple:
+    """The placements inside the K-ball among `batch` midpoints m drawn
+    uniform in the ball of radius sqrt(K^2 - 1): their midpoints, and the
+    squared norms |m + o|^2 of the vertices, one column per row o of
+    `offsets`."""
+    dim = offsets.shape[1]
+    dirs = rng.standard_normal((batch, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    m = dirs * (sqrt(K * K - 1.0) * rng.random(batch) ** (1.0 / dim))[:, None]
+    sq = (np.einsum("ij,ij->i", m, m)[:, None] + 2.0 * (m @ offsets.T)
+          + (offsets * offsets).sum(1))
+    keep = (sq <= K * K).all(1)
+    return m[keep], sq[keep]
+
+
 def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
                         dim: int = 3, legs: float | None = None) -> dict:
     """Audit the residue coloring against one thin isosceles triangle.
 
-    Samples congruent placements (random rotation and translation, rejected
-    unless all vertices lie in the radius-K ball) of an isosceles triangle
-    with base 2 and, by default, apex height sqrt(xi) over the base midpoint
-    where xi = 1/(17 K^2) -- legs sqrt(1 + xi). No such placement can be
-    monochromatic under the floor(2|x|^2) mod 8 coloring: three equal
-    residues force 8 K sqrt(xi) >= 2, which the choice of xi rules out.
+    The triangle has base 2 and, by default, apex height sqrt(xi) over the
+    base midpoint where xi = 1/(17 K^2) -- legs sqrt(1 + xi). No placement
+    in the radius-K ball can be monochromatic under the floor(2|x|^2) mod 8
+    coloring: three equal residues force 8 K sqrt(xi) >= 2, which the
+    choice of xi rules out.
+
+    Placements are drawn in the triangle's own frame (_gadget_placements).
+    Colors depend only on |x| and the volume of feasible midpoints is the
+    same for every rotation, so the squared norms have the law of a random
+    rotation and translation without drawing the rotation. By the
+    parallelogram law |m -+ e1| <= K implies |m|^2 <= K^2 - 1, so that
+    ball holds every feasible midpoint. `attempts` counts the draws.
 
     Pass `legs` to audit a different isosceles triangle with base 2. The
     bound only protects apex heights below 1/(4K); legs of 1 + xi, say, put
@@ -413,56 +435,34 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
     """
     if K <= 1:
         raise ValueError("need K > 1")
+    if dim < 2:
+        raise ValueError("need dim >= 2 to place a triangle")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     xi = 1.0 / (17.0 * K * K)
     leg = sqrt(1.0 + xi) if legs is None else float(legs)
     if not 1.0 < leg <= 2.0:
         raise ValueError("legs must lie in (1, 2] so the base is the diameter")
     h = sqrt(leg * leg - 1.0)
     rng = np.random.default_rng(seed)
+    offsets = np.zeros((3, dim))  # a = m - e1, b = m + h e2, c = m + e1
+    offsets[[0, 1, 2], [0, 1, 0]] = -1.0, h, 1.0
 
-    accepted = 0
-    flagged = 0
-    mono = 0
+    accepted = attempts = flagged = mono = 0
     failures = []
-    batch = 16384
     while accepted < trials:
-        g1 = rng.standard_normal((batch, dim))
-        u = g1 / np.linalg.norm(g1, axis=1, keepdims=True)
-        g2 = rng.standard_normal((batch, dim))
-        w = g2 - (g2 * u).sum(axis=1, keepdims=True) * u
-        wn = np.linalg.norm(w, axis=1, keepdims=True)
-        good = wn[:, 0] > 1e-12
-        dirs = rng.standard_normal((batch, dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = K * rng.random(batch) ** (1.0 / dim)
-        m = dirs * radii[:, None]
-
-        u, w, m = u[good], (w / np.maximum(wn, 1e-300))[good], m[good]
-        a = m - u
-        c = m + u
-        b = m + h * w
-        in_ball = ((a * a).sum(1) <= K * K) & ((b * b).sum(1) <= K * K) \
-            & ((c * c).sum(1) <= K * K)
-        a, b, c = a[in_ball], b[in_ball], c[in_ball]
-        take = min(len(a), trials - accepted)
-        a, b, c = a[:take], b[:take], c[:take]
-        accepted += take
-
-        two_sq = [2.0 * (p * p).sum(1) for p in (a, b, c)]
-        near = np.zeros(take, dtype=bool)
-        for v in two_sq:
-            near |= np.abs(v - np.round(v)) < BOUNDARY_TOL
+        m, sq = (x[: trials - accepted]
+                 for x in _gadget_placements(rng, _GADGET_BATCH, offsets, K))
+        attempts += _GADGET_BATCH
+        accepted += len(m)
+        two_sq = 2.0 * sq
+        near = (np.abs(two_sq - np.round(two_sq)) < BOUNDARY_TOL).any(1)
         flagged += int(near.sum())
-        cols = [np.floor(v).astype(np.int64) % 8 for v in two_sq]
-        bad = (~near) & (cols[0] == cols[1]) & (cols[1] == cols[2])
+        cols = np.floor(two_sq).astype(np.int64) % 8
+        bad = ~near & (cols == cols[:, :1]).all(1)
         mono += int(bad.sum())
-        for i in np.nonzero(bad)[0][:3]:
-            failures.append({
-                "a": [float(x) for x in a[i]],
-                "b": [float(x) for x in b[i]],
-                "c": [float(x) for x in c[i]],
-                "color": int(cols[0][i]),
-            })
+        failures += [dict(zip("abc", (m[i] + offsets).tolist()),
+                          color=int(cols[i, 0])) for i in np.nonzero(bad)[0][:3]]
     return {
         "K": K,
         "xi": xi,
@@ -471,6 +471,7 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
         "dim": dim,
         "seed": seed,
         "trials": accepted,
+        "attempts": attempts,
         "boundary_flagged": flagged,
         "monochromatic": mono,
         "failures": failures[:5],

@@ -384,6 +384,7 @@ def check_mod8_gadget(params: dict, seed: int):
         and thick["monochromatic"] > 0
     return ok, {
         "trials": rep["trials"],
+        "attempts": rep["attempts"],
         "monochromatic": rep["monochromatic"],
         "boundary_flagged": rep["boundary_flagged"],
         "legs": rep["legs"],

@@ -109,6 +109,7 @@ def test_embed_accept_and_reject(capsys):
 def test_gadget_cli(capsys):
     code, doc = _run(capsys, "gadget", "--trials", "5000", "--seed", "3")
     assert code == 0 and doc["monochromatic"] == 0
+    assert doc["trials"] == 5000 <= doc["attempts"]
 
 
 def test_degen_cli(tmp_path, capsys):
@@ -225,7 +226,12 @@ def test_malformed_values_exit_2(tmp_path, capsys):
             (["construct", "polygon", "-n", "5", "--circumradius", "nan"],
              "circumradius"),
             (["construct", "heptagon", "--circumradius", "inf"],
-             "non-finite")):
+             "non-finite"),
+            # a segment cannot hold the gadget triangle: dim 1 used to loop
+            # forever and dim 0 to divide by zero
+            (["gadget", "--dim", "1", "--trials", "10"], "dim >= 2"),
+            (["gadget", "--dim", "0", "--trials", "10"], "dim >= 2"),
+            (["gadget", "--trials", "-5"], "trials")):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and not captured.out and word in captured.err, argv

@@ -214,6 +214,45 @@ def test_pointset_validation():
         regular_polygon(7, float("inf"))
 
 
+def _first_coinciding_pair(points, tol):
+    for i, j in combinations(range(len(points)), 2):
+        if all(abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+               for a, b in zip(points[i], points[j])):
+            return i, j
+    return None
+
+
+def test_distinctness_sweep_names_brute_force_pair():
+    # 2,400 seeded sets in 1-3 dimensions at scales 1e-12 to 1e6, with
+    # several planted pairs just inside and just outside the tolerance; the
+    # sorted sweep must name exactly the pair a combinations loop finds
+    # first, also at a tolerance of 1.5, where the sweep may not stop early
+    rng = np.random.default_rng(2024)
+    raised = 0
+    for _ in range(2400):
+        dim = int(rng.integers(1, 4))
+        n = int(rng.integers(2, 13))
+        tol = float(rng.choice([1e-9, 1e-9, 1e-3, 0.3, 1.5]))
+        scale = 10.0 ** rng.uniform(-12, 6)
+        pts = rng.standard_normal((n, dim)) * scale
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = rng.choice(n, 2, replace=False)
+            slack = tol * np.maximum(1.0, np.abs(pts[i]))
+            pts[j] = pts[i] + rng.choice([0.0, 0.5, 0.999, 1.001, 3.0], dim) \
+                * rng.choice([-1.0, 1.0], dim) * slack
+        points = [[float(x) for x in p] for p in pts]
+        want = _first_coinciding_pair(points, tol)
+        if want is None:
+            assert len(PointSet.from_floats(points, tolerance=tol)) == n
+            continue
+        raised += 1
+        with pytest.raises(ValueError) as exc:
+            PointSet.from_floats(points, tolerance=tol)
+        assert str(exc.value) == (f"points {want[0]} and {want[1]} "
+                                  "coincide within tolerance")
+    assert 600 < raised < 2000
+
+
 def test_json_round_trip_exact_rationals():
     P = PointSet.exact([["1/2", 3], [0, "-7/3"]], labels=["a", "b"])
     doc = P.to_json()

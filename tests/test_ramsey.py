@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from diamray import (
     PointSet,
@@ -33,6 +34,7 @@ from diamray import (
     EmbeddingConditionError,
 )
 from diamray.geometry import _distance_preserving_maps
+from diamray.ramsey import BOUNDARY_TOL, _gadget_placements
 
 
 def _heptagon_copy_census():
@@ -251,6 +253,9 @@ def test_mod8_color_values():
 def test_gadget_audit_proof_triangle_clean():
     rep = obtuse_gadget_audit(K=2.0, trials=20000, seed=5)
     assert rep["ok"] and rep["monochromatic"] == 0
+    # about 47% of the midpoints drawn in the sqrt(K^2 - 1) ball are kept
+    assert rep["trials"] == 20000
+    assert 2 * rep["trials"] <= rep["attempts"] <= 3 * rep["trials"]
     assert rep["legs"] == pytest.approx(sqrt(1 + 1 / 68), rel=1e-12)
 
 
@@ -265,6 +270,61 @@ def test_gadget_audit_detects_thick_legs():
     assert np.linalg.norm(a - c) == pytest.approx(2.0, rel=1e-9)
     assert np.linalg.norm(b - a) == pytest.approx(1 + 1 / 68, rel=1e-9)
     assert len({mod8_color(p) for p in (a, b, c)}) == 1
+
+
+def _rotated_gadget_squares(K, h, n, seed, dim=3):
+    # the earlier sampler, kept as an oracle for the law: a Haar rotation
+    # (u, w) of the triangle and a midpoint uniform in the whole K-ball,
+    # kept when all three vertices lie in the ball; rows |a|^2, |b|^2, |c|^2
+    rng = np.random.default_rng(seed)
+    kept = []
+    while sum(map(len, kept)) < n:
+        u, w, m = (rng.standard_normal((4096, dim)) for _ in range(3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        w -= (w * u).sum(1, keepdims=True) * u
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        m *= (K * rng.random(4096) ** (1 / dim)
+              / np.linalg.norm(m, axis=1))[:, None]
+        sq = np.stack([((m + v) ** 2).sum(1) for v in (-u, h * w, u)], axis=1)
+        kept.append(sq[(sq <= K * K).all(1)])
+    return np.concatenate(kept)[:n]
+
+
+def _framed_gadget_squares(K, h, n, seed):
+    rng = np.random.default_rng(seed)
+    offsets = np.array([[-1.0, 0.0, 0.0], [0.0, h, 0.0], [1.0, 0.0, 0.0]])
+    kept = []
+    while sum(map(len, kept)) < n:
+        kept.append(_gadget_placements(rng, 4096, offsets, K)[1])
+    return np.concatenate(kept)[:n]
+
+
+def _monochromatic(sq):
+    two = 2.0 * sq
+    near = (np.abs(two - np.round(two)) < BOUNDARY_TOL).any(1)
+    cols = np.floor(two).astype(np.int64) % 8
+    return int((~near & (cols[:, 0] == cols[:, 1])
+                & (cols[:, 1] == cols[:, 2])).sum())
+
+
+def test_gadget_frame_sampler_keeps_rotated_law():
+    # second route: drawing in the triangle's frame, with midpoints in the
+    # radius sqrt(K^2 - 1) ball, gives the squared norms the rotated
+    # sampler gives
+    h = sqrt(1 / 68)
+    old = _rotated_gadget_squares(2.0, h, 20000, seed=0)
+    new = _framed_gadget_squares(2.0, h, 20000, seed=1)
+    for col in (1, 0):  # 2|b|^2 and 2|a|^2
+        assert ks_2samp(2 * old[:, col], 2 * new[:, col]).pvalue > 1e-3
+    # the thick-leg monochromatic counts are Poisson-like with mean ~28 per
+    # 100,000 trials; the difference of the totals stays in a 4-sigma band
+    legs = 1 + 1 / 68
+    thick_h = sqrt(legs * legs - 1)
+    want = sum(_monochromatic(_rotated_gadget_squares(2.0, thick_h, 100000, s))
+               for s in range(4))
+    got = sum(obtuse_gadget_audit(K=2.0, trials=100000, seed=s,
+                                  legs=legs)["monochromatic"] for s in range(4))
+    assert want > 40 and abs(got - want) <= 4 * sqrt(got + want)
 
 
 def test_copies_match_brute_force_subsets():
@@ -420,3 +480,11 @@ def test_gadget_audit_deterministic_and_guarded():
         obtuse_gadget_audit(K=0.5)
     with pytest.raises(ValueError):
         obtuse_gadget_audit(K=2.0, legs=2.5)
+    # a segment cannot hold the triangle, and a negative count is no count
+    for dim in (1, 0):
+        with pytest.raises(ValueError, match="dim >= 2"):
+            obtuse_gadget_audit(K=2.0, trials=10, dim=dim)
+    with pytest.raises(ValueError, match="trials"):
+        obtuse_gadget_audit(K=2.0, trials=-5)
+    rep = obtuse_gadget_audit(K=2.0, trials=0)
+    assert (rep["trials"], rep["attempts"], rep["ok"]) == (0, 0, True)
