@@ -2,25 +2,24 @@
 
 A set is t-degenerate at an anchor point when every regular t-simplex of
 side diam(P) through that point strictly increases the diameter of the
-union. Placements of the t free simplex vertices are parametrized by an
-orthonormal frame (the QR factor of a free matrix, signs fixed so
-diag(R) > 0), so the simplex constraints hold to machine precision by
-construction. A softmax surrogate, minimized by L-BFGS-B on its closed-form
-gradient (the softmax weights pulled back through the QR map), supplies a
-start. One SLSQP polish of the epigraph form, minimize tau subject to
-tau >= |p_i - b_j|^2, then lands on the exact active set. The far-pair
-adversary shares both stages.
+union. Placements are parametrized by an orthonormal m x t frame Q (the QR
+factor of a free matrix, signs fixed so diag(R) > 0), so the simplex
+constraints hold to machine precision by construction.
 
-The polish's KKT multipliers, normalised to weights lambda on the simplex,
-certify the optimum by weak duality. With anchor a, frame rows F (so the
-free vectors x_i = p_i - a have Gram matrix S = F F^T) and base vectors
-w_j = b_j - a as the rows of W,
+The extension problem and the far-pair adversary share one form: minimize,
+over frames Q, the largest of the affine values c_k - <G_k, Q>
+(_FrameMinimax). One driver (_minimize) runs L-BFGS-B on a softmax of the
+values, at one sharpness relative to the problem's scale, from random
+starts, and one SLSQP polish of the epigraph form, minimize tau subject to
+tau >= c_k - <G_k, Q>, takes the best start to the exact active set. Its
+KKT multipliers, normalised to weights lambda on the simplex, certify the
+optimum by weak duality:
 
-    min value^2 >= L(lambda) = sum lambda_ij (S_ii + |w_j|^2) - 2 ||F^T Lambda W||_*,
+    min_Q max_k (c_k - <G_k, Q>) >= lambda.c - ||sum_k lambda_k G_k||_*,
 
-because the nuclear norm is the largest value of <Q, W^T Lambda^T F> over
-orthonormal frames Q. Any lambda gives a valid lower bound, in every
-ambient dimension. At ambient dimension rank(W) + t or more (the default
+because the nuclear norm is the largest value of <M, Q> over orthonormal
+frames Q. Any lambda gives a valid bound, in every ambient dimension. For
+the extension at ambient dimension rank(W) + t or more (the default
 dim + t is enough) the reachable cross matrices X W^T form a convex set,
 by the dilation of a contraction, so the bound is tight and the polished
 placement meets it. A result is certified when the placement and the bound
@@ -32,6 +31,7 @@ exhibit an explicit placement.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import sqrt
 
@@ -52,7 +52,7 @@ _ANGLE_BATCH = 8192
 # not reject the points where the 150-degree bound is tight
 _BOUNDARY_RADIUS = 1.0 - 1e-12
 CERTIFY_GAP = 1e-8  # relative to max(1, value)
-_BETAS = (4.0, 16.0, 64.0, 256.0)
+_BETA = 16.0  # the surrogate's sharpness, in units of the problem's scale
 _POLISH = {"maxiter": 200, "ftol": 1e-16}
 _WITNESS_TOL = 1e-9  # relative, on the squared norms and sides of 2
 _WITNESS_CHUNK = 1 << 17  # Gaussian entries drawn at once: 1 MiB
@@ -137,42 +137,63 @@ def _frame_pullback(Q: np.ndarray, R: np.ndarray,
     return np.swapaxes(np.linalg.solve(R, np.swapaxes(X, -1, -2)), -1, -2)
 
 
-def _multistart(value_and_grad, m: int, t: int, restarts: int,
-                rng: np.random.Generator) -> tuple:
-    """Minimize a softmax surrogate over m x t free matrices from random starts.
+@dataclass(frozen=True)
+class _FrameMinimax:
+    """Minimize, over orthonormal m x t frames Q, the largest affine value
+    c_k - <G_k, Q>.
 
-    value_and_grad(A, beta) returns the surrogate at sharpness beta and its
-    gradient in A. Each restart draws A from rng.standard_normal(m * t) and
-    runs L-BFGS-B through the _BETAS schedule. Returns the final matrix of
-    every restart, in order, and the number of surrogate calls (each one
-    value and one gradient).
+    objective(Q) is the true objective, computed from the placement of
+    frame Q, and report(v) maps an affine value v onto the objective's
+    scale, monotonely; objective(Q) is report(values(Q).max()) up to
+    rounding. `scale` is the problem's unit of value (side^2): the softmax
+    runs at sharpness beta / scale.
     """
-    if restarts < 1:
-        raise ValueError(f"need restarts >= 1, got {restarts}")
-    calls = 0
 
-    def flat(a, beta):
-        nonlocal calls
-        calls += 1
-        value, grad = value_and_grad(a.reshape(m, t), beta)
-        return value, grad.ravel()
+    c: np.ndarray  # (k,)
+    G: np.ndarray  # (k, m, t)
+    scale: float
+    objective: Callable
+    report: Callable
 
-    finals = []
-    for _ in range(restarts):
-        x = rng.standard_normal(m * t)
-        for beta in _BETAS:
-            x = minimize(flat, x, args=(beta,), jac=True, method="L-BFGS-B",
-                         options={"maxiter": 300}).x
-        finals.append(x.reshape(m, t))
-    return finals, calls
+    def values(self, Q: np.ndarray) -> np.ndarray:
+        return self.c - self.G.reshape(len(self.c), -1) @ Q.ravel()
+
+    def surrogate(self, A: np.ndarray, beta: float) -> tuple:
+        """Softmax of the values at sharpness beta / scale, and its gradient
+        in A: the softmax weights of the -G_k, pulled back through the QR
+        map."""
+        Q, R = _frame(A)
+        sharp = beta / self.scale
+        v = self.values(Q)
+        top = v.max()
+        e = np.exp(sharp * (v - top))
+        total = e.sum()
+        grad = -np.tensordot(e / total, self.G, axes=1)
+        return top + np.log(total) / sharp, _frame_pullback(Q, R, grad)
+
+    def bound(self, lam: np.ndarray) -> float:
+        """The weak-duality bound lam.c - ||sum lam_k G_k||_* beneath the
+        minimax, for weights lam on the simplex.
+
+        It is lowered by (k + m t) eps times the magnitudes it sums, an
+        allowance for the rounding of its own evaluation and of the
+        placement's: at an optimum the two meet, and either can round past
+        the other by an ulp.
+        """
+        nuclear = float(np.linalg.svd(np.tensordot(lam, self.G, axes=1),
+                                      compute_uv=False).sum())
+        slack = (len(self.c) + self.G[0].size) * np.finfo(float).eps
+        return (float(lam @ self.c) - nuclear
+                - slack * (float(lam @ np.abs(self.c)) + nuclear))
 
 
-def _epigraph_polish(A0: np.ndarray, values, q_grads) -> tuple:
-    """Minimize the largest of values(Q) over frames Q = _frame(A) by SLSQP.
+def _epigraph_polish(prob: _FrameMinimax, A0: np.ndarray) -> tuple:
+    """Minimize the largest of prob.values(Q) over frames Q = _frame(A) by
+    SLSQP.
 
     Works on the epigraph form: minimize tau over (A, tau) subject to
-    tau - values(Q)_k >= 0 for every k. q_grads(Q) stacks the gradient in Q
-    of each value, (k, m, t); the constraint Jacobian pulls them back through
+    tau - values(Q)_k >= 0 for every k. Value k has gradient -G_k in Q
+    wherever Q is, so the constraint Jacobian is the G_k pulled back through
     the QR map. Starts from A0 with tau at its largest value. Returns the
     polished matrix, the constraints' KKT multipliers, and the numbers of
     constraint evaluations and of constraint Jacobians.
@@ -184,18 +205,18 @@ def _epigraph_polish(A0: np.ndarray, values, q_grads) -> tuple:
     def constraint(x):
         nonlocal evaluations
         evaluations += 1
-        return x[-1] - values(_frame(x[:size].reshape(m, t))[0])
+        return x[-1] - prob.values(_frame(x[:size].reshape(m, t))[0])
 
     def jacobian(x):
         nonlocal jacobians
         jacobians += 1
         Q, R = _frame(x[:size].reshape(m, t))
-        G = _frame_pullback(Q, R, q_grads(Q)).reshape(-1, size)
-        return np.hstack([-G, np.ones((len(G), 1))])
+        J = _frame_pullback(Q, R, prob.G).reshape(-1, size)
+        return np.hstack([J, np.ones((len(J), 1))])
 
     unit = np.zeros(size + 1)
     unit[-1] = 1.0
-    x0 = np.append(A0.ravel(), values(_frame(A0)[0]).max())
+    x0 = np.append(A0.ravel(), prob.values(_frame(A0)[0]).max())
     res = minimize(lambda x: x[-1], x0, jac=lambda x: unit, method="SLSQP",
                    constraints=({"type": "ineq", "fun": constraint,
                                  "jac": jacobian},),
@@ -222,82 +243,96 @@ def _certified(lower: float, upper: float) -> bool:
     return upper - lower <= CERTIFY_GAP * max(1.0, abs(upper))
 
 
-class _ExtensionObjective:
-    """Placement, true value and softmax surrogate of an ExtensionProblem."""
+def _minimize(prob: _FrameMinimax, restarts: int,
+              rng: np.random.Generator) -> tuple:
+    """Minimize prob.objective over frames; the one driver of both problems.
 
-    def __init__(self, prob: ExtensionProblem):
-        self.base = np.zeros((len(prob.base), prob.ambient_dim))
-        self.base[:, :prob.base.dim] = prob.base.as_array()
-        self.anchor = self.base[prob.anchor]
-        self.side = prob.side
-        self.frame = _anchored_frame(prob.t, prob.side)  # (t, t)
-        self.floor = max(prob.side, diameter(prob.base).value)
+    Each start draws A from rng.standard_normal(m * t) and runs L-BFGS-B on
+    the softmax surrogate at _BETA. The best start by the true objective is
+    polished on the epigraph form, the better of start and polish is kept,
+    and the polish's multipliers weight the duality bound. When the bound
+    and the objective do not meet, one more start is drawn from the same
+    generator and polished, and the smaller objective and the larger bound
+    are kept. Returns the best frame, its objective, the reported bound
+    beneath it, every start's objective, and the numbers of evaluations
+    (surrogate calls plus polish constraint evaluations) and of gradients
+    (surrogate calls plus polish constraint Jacobians).
+    """
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
+    m, t = prob.G.shape[1:]
+    calls = evaluations = jacobians = 0
 
-    def _gaps(self, Q: np.ndarray) -> np.ndarray:
-        """p_i - b_j for the placement of frame Q, shape (t, n, m)."""
-        V = self.anchor + self.frame @ Q.T
-        return V[:, None, :] - self.base[None, :, :]
+    def surrogate(x):
+        nonlocal calls
+        calls += 1
+        value, grad = prob.surrogate(x.reshape(m, t), _BETA)
+        return value, grad.ravel()
 
-    def sq_distances(self, Q: np.ndarray) -> np.ndarray:
-        """|p_i - b_j|^2, flattened in (i, j) order."""
-        diff = self._gaps(Q)
-        return (diff * diff).sum(axis=2).ravel()
-
-    def sq_distance_grads(self, Q: np.ndarray) -> np.ndarray:
-        """Gradients in Q of sq_distances: 2 (p_i - b_j) F_i^T, (t*n, m, t)."""
-        diff = self._gaps(Q)
-        G = 2.0 * diff[:, :, :, None] * self.frame[:, None, None, :]
-        return G.reshape(-1, *Q.shape)
-
-    def lower_bound(self, lam: np.ndarray) -> float:
-        """The duality bound max(floor, sqrt(L(lam))) for weights lam over
-        the (i, j) pairs, flattened as in sq_distances."""
-        lam = lam.reshape(len(self.frame), len(self.base))
-        W = self.base - self.anchor
-        S = (self.frame * self.frame).sum(axis=1)
-        L = float((lam * (S[:, None] + (W * W).sum(axis=1)[None, :])).sum())
-        L -= 2.0 * float(np.linalg.svd(self.frame.T @ lam @ W,
-                                       compute_uv=False).sum())
-        return max(self.floor, sqrt(max(L, 0.0)))
-
-    def placement(self, A: np.ndarray) -> np.ndarray:
-        """Free simplex vertices (t, m) for the frame of A."""
-        return self.anchor + self.frame @ _frame(A)[0].T
-
-    def true_value(self, V: np.ndarray) -> float:
-        """Diameter of the base union the anchored simplex with vertices V."""
-        diff = V[:, None, :] - self.base[None, :, :]
-        return max(self.floor, float(np.sqrt((diff * diff).sum(axis=2)).max()))
-
-    def surrogate(self, A: np.ndarray, beta: float) -> tuple:
-        """Softmax of the simplex-to-base distances and its gradient in A."""
-        Q, R = _frame(A)
-        diff = self._gaps(Q)
-        d = np.sqrt((diff * diff).sum(axis=2))  # (t, n)
-        scale = beta / max(self.side, 1e-12)
-        top = d.max()
-        e = np.exp(scale * (d - top))
-        total = e.sum()
-        # d/dV_i = sum_j w_ij (V_i - B_j) / d_ij with softmax weights w
-        coef = np.divide(e / total, d, out=np.zeros_like(d), where=d > 0)
-        G = (coef[:, :, None] * diff).sum(axis=1)  # (t, m)
-        return top + np.log(total) / scale, _frame_pullback(Q, R, G.T @ self.frame)
+    restart_values = []
+    best_val, best_Q, lower = np.inf, None, -np.inf
+    # a polish can stall away from the optimum (SLSQP's iteration limit, or
+    # a singular LSQ subproblem): then one more start, and every value and
+    # bound stays valid
+    for batch in (restarts, 1):
+        starts = [minimize(surrogate, rng.standard_normal(m * t), jac=True,
+                           method="L-BFGS-B", options={"maxiter": 300}).x
+                  .reshape(m, t) for _ in range(batch)]
+        start_vals = [prob.objective(_frame(A)[0]) for A in starts]
+        restart_values += start_vals
+        k = int(np.argmin(start_vals))
+        if not np.isfinite(start_vals[k]):
+            raise RuntimeError(f"optimizer failed on all {batch} restarts: "
+                               f"values={start_vals[:5]}")
+        # the softmax leaves an O(scale/beta) bias; SLSQP may also stop (exit
+        # mode 8) at the optimum, so the true objective picks the better point
+        A, multipliers, evals, jacs = _epigraph_polish(prob, starts[k])
+        evaluations, jacobians = evaluations + evals, jacobians + jacs
+        Q = _frame(A)[0]
+        val = prob.objective(Q)
+        if val > start_vals[k]:
+            Q, val = _frame(starts[k])[0], start_vals[k]
+        lam = _dual_weights(multipliers, prob.values(Q))
+        lower = max(lower, prob.report(prob.bound(lam)))
+        if val < best_val:
+            best_val, best_Q = val, Q
+        if _certified(lower, best_val):
+            break
+    return (best_Q, best_val, lower, tuple(restart_values),
+            calls + evaluations, calls + jacobians)
 
 
-def _polished(obj: _ExtensionObjective, A0: np.ndarray, start_val: float) -> tuple:
-    """Polish start A0 on the epigraph form: the better of start and polish
-    by the true objective, its value, the duality bound, and the polish's
-    constraint evaluations and Jacobians."""
-    # the softmax stages leave an O(1/beta) bias; SLSQP may also stop (exit
-    # mode 8) at the optimum, so the true objective picks the better point
-    A, multipliers, evals, jacs = _epigraph_polish(
-        A0, obj.sq_distances, obj.sq_distance_grads)
-    val = obj.true_value(obj.placement(A))
-    if val > start_val:
-        A, val = A0, start_val
-    lower = obj.lower_bound(_dual_weights(
-        multipliers, obj.sq_distances(_frame(A)[0])))
-    return A, val, lower, evals, jacs
+def _extension_minimax(prob: ExtensionProblem) -> tuple:
+    """The affine form of prob, and the map from a frame Q to the simplex's
+    vertices, the anchor first.
+
+    With anchor a, free vertices p_i = a + Q F_i for the rows F_i of the
+    anchored simplex, and base vectors w_j = b_j - a, the squared distance
+    |p_i - b_j|^2 is c_ij - <G_ij, Q> with c_ij = |F_i|^2 + |w_j|^2 and
+    G_ij = 2 w_j F_i^T. The objective is the diameter of the union, never
+    below diam(base); the bound on it is the square root of the bound on
+    the squared distances.
+    """
+    m, t = prob.ambient_dim, prob.t
+    base = np.zeros((len(prob.base), m))
+    base[:, :prob.base.dim] = prob.base.as_array()
+    anchor = base[prob.anchor]
+    W = base - anchor
+    F = _anchored_frame(t, prob.side)
+    floor = max(prob.side, diameter(prob.base).value)
+
+    def simplex(Q):
+        return np.vstack([anchor, anchor + F @ Q.T])
+
+    def union_diameter(Q):
+        diff = simplex(Q)[1:, None, :] - base[None, :, :]
+        return max(floor, float(np.sqrt((diff * diff).sum(axis=2)).max()))
+
+    c = ((F * F).sum(axis=1)[:, None] + (W * W).sum(axis=1)[None, :]).ravel()
+    G = 2.0 * W[None, :, :, None] * F[:, None, None, :]
+    return _FrameMinimax(c, G.reshape(-1, m, t), prob.side ** 2,
+                         union_diameter,
+                         lambda v: max(floor, sqrt(max(v, 0.0)))), simplex
 
 
 def min_extension_diameter(prob: ExtensionProblem,
@@ -305,53 +340,22 @@ def min_extension_diameter(prob: ExtensionProblem,
                            seed: int = 0) -> ExtensionResult:
     """Smallest found diameter of base union an anchored regular t-simplex.
 
-    The best of the multi-start restarts is polished on the epigraph form;
-    the returned value is an upper bound on the true minimum and never drops
-    below diam(base), and `lower` is the duality bound beneath it. When the
-    two do not meet, one more start is drawn from the same generator and
-    polished, and the smaller value and the larger bound are kept. The
-    placement is feasible to machine precision by the frame parametrization.
+    The returned value, from the placement that _minimize finds, is an upper
+    bound on the true minimum and never drops below diam(base); `lower` is
+    the duality bound beneath it. The placement is feasible to machine
+    precision by the frame parametrization.
     """
-    m, t = prob.ambient_dim, prob.t
-    obj = _ExtensionObjective(prob)
-    rng = np.random.default_rng(seed)
-    finals, calls = _multistart(obj.surrogate, m, t, restarts, rng)
-    best_val = np.inf
-    best_A = None
-    values = []
-    for A in finals:
-        val = obj.true_value(obj.placement(A))
-        values.append(val)
-        if val < best_val:
-            best_val = val
-            best_A = A
-    if best_A is None or not np.isfinite(best_val):
-        raise RuntimeError(
-            f"optimizer failed on all {restarts} restarts: values={values[:5]}")
-
-    best_A, best_val, lower, evals, jacs = _polished(obj, best_A, best_val)
-    if not _certified(lower, best_val):
-        # a polish can stall away from the optimum (SLSQP's iteration limit,
-        # or a singular LSQ subproblem); every value and bound stays valid
-        (A,), more = _multistart(obj.surrogate, m, t, 1, rng)
-        val = obj.true_value(obj.placement(A))
-        values.append(val)
-        A, val, low, more_evals, more_jacs = _polished(obj, A, val)
-        calls, evals, jacs = calls + more, evals + more_evals, jacs + more_jacs
-        if val < best_val:
-            best_val, best_A = val, A
-        lower = max(lower, low)
-    best_V = obj.placement(best_A)
-
+    problem, simplex = _extension_minimax(prob)
+    Q, value, lower, values, evaluations, gradients = _minimize(
+        problem, restarts, np.random.default_rng(seed))
+    pts = simplex(Q)
     feas = 0.0
-    pts = np.vstack([obj.anchor, best_V])
-    for i in range(t + 1):
-        for j in range(i + 1, t + 1):
+    for i in range(prob.t + 1):
+        for j in range(i + 1, prob.t + 1):
             feas = max(feas, abs(float(np.linalg.norm(pts[i] - pts[j])) - prob.side))
-    simplex = PointSet.from_floats(pts)
-    return ExtensionResult(best_val, simplex, tuple(values), feas,
-                           evaluations=calls + evals, gradients=calls + jacs,
-                           lower=lower, certified=_certified(lower, best_val))
+    return ExtensionResult(value, PointSet.from_floats(pts), values, feas,
+                           evaluations=evaluations, gradients=gradients,
+                           lower=lower, certified=_certified(lower, value))
 
 
 def degeneracy_evidence(P: PointSet, t: int, margin: float = SUPPORT_MARGIN,
@@ -555,23 +559,23 @@ def star_witness_values(trials: int, seed_or_rng, dim: int = 9) -> np.ndarray:
     return out
 
 
-def _adversary_surrogate(frame: np.ndarray):
-    """Negated softmin of the first six coordinates of the tetrahedron
-    frame @ Q^T, and its gradient in A, where Q = _frame(A)[0]."""
+def _adversary_minimax(dim: int) -> tuple:
+    """The adversary's affine form, and the map from a frame Q to the three
+    nonzero tetrahedron vertices F_i Q^T.
 
-    def surrogate(A: np.ndarray, beta: float) -> tuple:
-        Q, R = _frame(A)
-        V = frame @ Q.T
-        v = V[:, :6]
-        low = v.min()
-        e = np.exp(-beta * (v - low))
-        total = e.sum()
-        # the softmin's gradient in v is softmax(-beta v)
-        G = np.zeros_like(V)
-        G[:, :6] = -e / total
-        return -(low - np.log(total) / beta), _frame_pullback(Q, R, G.T @ frame)
+    Maximizing the smallest coordinate x_i(j) = <e_j F_i^T, Q>, j < 6, is
+    minimizing the largest of the values -x_i(j): c = 0 and G_ij = e_j F_i^T.
+    The objective is the negated max-min, read off the vertices.
+    """
+    F = _anchored_frame(3, sqrt(2.0))
 
-    return surrogate
+    def tetrahedron(Q):
+        return F @ Q.T
+
+    G = np.eye(6, dim)[None, :, :, None] * F[:, None, None, :]
+    return _FrameMinimax(np.zeros(18), G.reshape(18, dim, 3), 2.0,
+                         lambda Q: -float(tetrahedron(Q)[:, :6].min()),
+                         lambda v: v), tetrahedron
 
 
 def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0,
@@ -579,51 +583,25 @@ def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     """Adversarial search maximizing the smallest of the first six coordinates.
 
     Over all regular side-sqrt(2) tetrahedra anchored at the origin, tries
-    to push every coordinate x_i(j), j < 6, as high as possible: the best
-    restart is polished on the epigraph form, maximize tau subject to
-    x_i(j) >= tau. The max-min found is a lower bound on the adversary's
-    optimum and `upper_bound` an upper one: for weights lambda on the
-    simplex, sum lambda_ij x_i(j) <= ||F^T Lambda||_* for every frame, with F
-    the tetrahedron's frame and Lambda the weights over the first six
-    coordinates. Both stay below 1/2, which is exactly why appending such a
-    tetrahedron to the cube-corner star always stretches some distance past
-    sqrt(2).
+    to push every coordinate x_i(j), j < 6, as high as possible. The max-min
+    found is a lower bound on the adversary's optimum and `upper_bound`, the
+    duality bound, an upper one. Both stay below 1/2, which is exactly why
+    appending such a tetrahedron to the cube-corner star always stretches
+    some distance past sqrt(2).
     """
     if dim < 6:
         raise ValueError("need ambient dimension >= 6")
-    frame = _anchored_frame(3, sqrt(2.0))
-    finals, calls = _multistart(_adversary_surrogate(frame), dim, 3,
-                                restarts, np.random.default_rng(seed))
-
-    def max_min(A):
-        return float((frame @ _frame(A)[0].T)[:, :6].min())
-
-    values = [max_min(A) for A in finals]
-    best_A = finals[int(np.argmax(values))]
-    best_val = max(values)
-
-    # the polish minimizes the largest of -x_i(j); its gradient in Q is
-    # -frame[i] on row j, whatever Q is
-    grads = np.zeros((3, 6, dim, 3))
-    for j in range(6):
-        grads[:, j, j, :] = -frame
-    A, multipliers, evals, jacs = _epigraph_polish(
-        best_A, lambda Q: -(frame @ Q[:6].T).ravel(),
-        lambda Q: grads.reshape(18, dim, 3))
-    val = max_min(A)
-    if val >= best_val:
-        best_val, best_A = val, A
-    best_V = frame @ _frame(best_A)[0].T
-    lam = _dual_weights(multipliers, -best_V[:, :6].ravel()).reshape(3, 6)
-    upper = float(np.linalg.svd(frame.T @ lam, compute_uv=False).sum())
+    problem, tetrahedron = _adversary_minimax(dim)
+    Q, value, lower, values, evaluations, gradients = _minimize(
+        problem, restarts, np.random.default_rng(seed))
     return {
         "dim": dim,
         "restarts": restarts,
-        "best_max_min": best_val,
-        "restart_values": tuple(values),
-        "points": best_V.tolist(),
-        "evaluations": calls + evals,
-        "gradients": calls + jacs,
-        "upper_bound": upper,
-        "certified": _certified(best_val, upper),
+        "best_max_min": -value,
+        "restart_values": tuple(-v for v in values),
+        "points": tetrahedron(Q).tolist(),
+        "evaluations": evaluations,
+        "gradients": gradients,
+        "upper_bound": -lower,
+        "certified": _certified(-value, -lower),
     }

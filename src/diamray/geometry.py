@@ -99,6 +99,10 @@ class PointSet:
             raise ValueError("all points must share one dimension")
         if self.labels is not None and len(self.labels) != len(self.points):
             raise ValueError("labels must match point count")
+        if not (isinstance(self.tolerance, (int, float))
+                and isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be a finite number >= 0, "
+                             f"got {self.tolerance!r}")
         self._check_distinct()
 
     def _check_distinct(self):

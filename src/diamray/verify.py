@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import sqrt
+from math import cos, radians, sin, sqrt
 
 import numpy as np
 
@@ -84,6 +84,7 @@ class VerificationReport:
 KK_NS = (2, 4, 6)  # partition-distance-formula: the same in both suites
 KK_PAIRS = 1000
 LATTICE_SPAN = 3  # random_lattice_set draws coordinates from 0..LATTICE_SPAN
+CLOSED_FORM_TOL = 1e-9  # optimizer values against their closed forms
 # the Fano plane: lines {i, i+1, i+3} mod 7
 FANO_EDGES = tuple(sorted(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7)))
                           for i in range(7)))
@@ -318,6 +319,10 @@ def check_apex_degeneracy(params: dict, seed: int):
     res160 = min_extension_diameter(extension_problem(tri160, 0, 1),
                                     restarts=1, seed=seed)
     supported = res160.lower > 1.0 + 1e-4
+    # second route: the in-plane bisector placement, with the leg l
+    leg = 1.0 / (2.0 * sin(radians(80.0)))
+    closed = sqrt(leg * leg + 1.0 - 2.0 * leg * cos(radians(80.0)))
+    closed_ok = abs(res160.value - closed) <= CLOSED_FORM_TOL
 
     tri150 = isosceles_apex_triangle(150.0)
     q = circumcenter(*tri150.points)
@@ -330,7 +335,7 @@ def check_apex_degeneracy(params: dict, seed: int):
     rep = degeneracy_evidence(acute, 1, restarts=1, seed=seed)
     refuted = rep["overall"] == "refuted"
 
-    ok = supported and boundary and refuted
+    ok = supported and boundary and refuted and closed_ok
     return ok, {
         "apex160_value": res160.value,
         "apex160_supported": supported,
@@ -339,6 +344,7 @@ def check_apex_degeneracy(params: dict, seed: int):
         "apex160_lower": res160.lower,
         "certified": res160.certified
         and all(a["certified"] for a in rep["anchors"]),
+        "apex160_closed_form": closed,
     }
 
 
@@ -355,7 +361,14 @@ def check_corner_star_extension(params: dict, seed: int):
                                  restarts=1, seed=seed)
     ext_ok = res.lower > sqrt(2.0) + 1e-3
 
-    ok = witness_ok and adv_ok and ext_ok
+    # second route: the adversary's optimum sqrt(2)/3, and the extension's
+    # squared value 3 - 2 sqrt(2)/3
+    adv_closed = sqrt(2.0) / 3.0
+    ext_closed = sqrt(3.0 - 2.0 * adv_closed)
+    closed_ok = (abs(adv["best_max_min"] - adv_closed) <= CLOSED_FORM_TOL
+                 and abs(res.value - ext_closed) <= CLOSED_FORM_TOL)
+
+    ok = witness_ok and adv_ok and ext_ok and closed_ok
     return ok, {
         "witness_trials": params["witness_trials"],
         "witness_worst_coord": worst,
@@ -365,6 +378,8 @@ def check_corner_star_extension(params: dict, seed: int):
         "adversary_upper": adv["upper_bound"],
         "extension_lower": res.lower,
         "certified": adv["certified"] and res.certified,
+        "adversary_closed_form": adv_closed,
+        "extension_closed_form": ext_closed,
     }
 
 

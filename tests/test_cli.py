@@ -216,6 +216,12 @@ def test_malformed_values_exit_2(tmp_path, capsys):
     zero.write_text(json.dumps({"mode": "exact", "points": [["1/0", 0], [0, 0]]}))
     nan = tmp_path / "nan.json"
     nan.write_text('{"mode": "float", "points": [[NaN, 0], [0, 0], [1, 1]]}')
+    # a tolerance that no distance meets, not even its own, printed no pairs
+    bad_tol = []
+    for k, tol in enumerate(("-1", "NaN", "Infinity")):
+        bad_tol.append(tmp_path / f"tol{k}.json")
+        bad_tol[-1].write_text('{"mode": "float", "points": [[0, 0], [1, 0], '
+                               '[0, 3]], "tolerance": %s}' % tol)
     for argv, word in (
             (["diam", "--input", str(zero)], "1/0"),
             (["embed", "--sides", "1/0,1,1"], "1/0"),
@@ -223,6 +229,7 @@ def test_malformed_values_exit_2(tmp_path, capsys):
             (["construct", "simplex", "--sides", "1,1,1/0"], "1/0"),
             (["construct", "simplex", "--sides", "inf,1,1"], "inf"),
             (["diam", "--input", str(nan)], "point 0 has a non-finite"),
+            *((["diam", "--input", str(path)], "tolerance") for path in bad_tol),
             (["construct", "polygon", "-n", "5", "--circumradius", "nan"],
              "circumradius"),
             (["construct", "heptagon", "--circumradius", "inf"],

@@ -207,6 +207,10 @@ def test_pointset_validation():
             PointSet.from_floats([[0.0, 0.0], [bad, 0.0], [bad, 1.0]])
     with pytest.raises(ValueError, match="zero denominator"):
         PointSet.exact([["1/0", 0]])
+    for tol in (-1.0, -1e-12, float("nan"), float("inf"), "1e-9"):
+        with pytest.raises(ValueError, match="tolerance"):
+            PointSet.from_floats([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]], tolerance=tol)
+    assert PointSet.from_floats([[0.0], [1.0]], tolerance=0.0).tolerance == 0.0
     for radius in (float("nan"), 0.0, -1.0):
         with pytest.raises(ValueError, match="circumradius"):
             regular_polygon(5, radius)
