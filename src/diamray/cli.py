@@ -3,7 +3,9 @@
 Every subcommand reads point sets / hypergraphs as JSON files and writes a
 single JSON document to stdout (schema-versioned). Exit codes: 0 success or
 all checks passed, 1 a check failed, 2 usage or input error. No network, no
-interactive state; a fixed seed reproduces any run bit for bit.
+interactive state; a fixed seed reproduces any run bit for bit under the
+same BLAS thread count. The optimizer's low digits, and rarely whether it
+draws a retry start, depend on that count (OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
@@ -68,16 +70,10 @@ def _load_json(path: str) -> dict:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_point_set(path: str) -> PointSet:
+def _load(cls, path: str):
+    """A PointSet or Hypergraph read from the JSON document at path."""
     try:
-        return PointSet.from_json(_load_json(path))
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _load_hypergraph(path: str) -> Hypergraph:
-    try:
-        return Hypergraph.from_json(_load_json(path))
+        return cls.from_json(_load_json(path))
     except (ValueError, TypeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -127,7 +123,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_diam(args) -> int:
-    P = _load_point_set(args.input)
+    P = _load(PointSet, args.input)
     info = diameter(P)
     _emit({
         "schema": 1,
@@ -140,14 +136,14 @@ def _cmd_diam(args) -> int:
 
 
 def _cmd_hyper(args) -> int:
-    P = _load_point_set(args.input)
+    P = _load(PointSet, args.input)
     H = diameter_hypergraph(P, args.r)
     _emit(H.to_json(), args.output)
     return 0
 
 
 def _cmd_chrom(args) -> int:
-    H = _load_hypergraph(args.input)
+    H = _load(Hypergraph, args.input)
     if H.n_vertices > 60 and not args.slow:
         raise CliError(
             f"{H.n_vertices} vertices: exact search may be very slow; "
@@ -166,8 +162,8 @@ def _cmd_chrom(args) -> int:
 
 
 def _cmd_arrow(args) -> int:
-    host = _load_point_set(args.host)
-    pattern = _load_point_set(args.pattern)
+    host = _load(PointSet, args.host)
+    pattern = _load(PointSet, args.pattern)
     res = arrows(host, pattern, args.r)
     _emit({
         "schema": 1,
@@ -203,7 +199,7 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_degen(args) -> int:
-    P = _load_point_set(args.input)
+    P = _load(PointSet, args.input)
     try:
         if args.anchor is not None:
             prob = extension_problem(P, args.anchor, args.t,

@@ -4,7 +4,8 @@ Combinatorial families (partition sets, characteristic-vector sets, bricks,
 the cube-corner star) are built with integer coordinates in exact mode, so
 their squared distances are integers. Metric families (regular simplices,
 polygons) live in float mode; their exactness is recovered at the
-squared-distance level where needed.
+squared-distance level where needed. Every simplex, regular or given by its
+sides, is realized by one Gram factorization with vertex 0 at the origin.
 """
 
 from __future__ import annotations
@@ -100,19 +101,14 @@ def kneser_points(n: int, k: int, r: int) -> PointSet:
     return PointSet(pts, EXACT, labels)
 
 
-def cube_corner_set(arms: int = 6) -> PointSet:
-    """The origin together with `arms` unit coordinate vectors.
+def cube_corner_set() -> PointSet:
+    """The origin together with the six unit coordinate vectors of R^6.
 
     A cube vertex and its neighbors: distances are 1 to the origin and
     sqrt(2) between arms, so the diameter is sqrt(2).
     """
-    if arms < 1:
-        raise ValueError("need at least one arm")
-    pts = [tuple(0 for _ in range(arms))]
-    labels = ["origin"]
-    for i in range(arms):
-        pts.append(tuple(1 if j == i else 0 for j in range(arms)))
-        labels.append(f"e{i + 1}")
+    pts = [(0,) * 6] + [tuple(int(j == i) for j in range(6)) for i in range(6)]
+    labels = ["origin"] + [f"e{i + 1}" for i in range(6)]
     return PointSet(tuple(pts), EXACT, tuple(labels))
 
 
@@ -185,16 +181,6 @@ class SimplexSpec:
     def n(self) -> int:
         return len(self.side_sq)
 
-    def scaled(self, factor: Fraction) -> "SimplexSpec":
-        return SimplexSpec(tuple(tuple(x * factor for x in row)
-                                 for row in self.side_sq))
-
-    def max_side_sq(self) -> Fraction:
-        if self.n == 1:
-            return Fraction(0)
-        return max(self.side_sq[i][j] for i in range(self.n)
-                   for j in range(i + 1, self.n))
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
@@ -210,75 +196,67 @@ def simplex_from_squared_sides(side_sq) -> SimplexSpec:
 
 
 def simplex_from_sides(sides) -> SimplexSpec:
-    """SimplexSpec from a full side-length matrix or a flat upper triangle.
+    """SimplexSpec from the flat upper triangle of the side lengths.
 
-    A flat sequence of length n(n-1)/2 is read row by row: (s01, s02, ...,
-    s0(n-1), s12, ...). Squared sides are stored exactly.
+    A sequence of length n(n-1)/2 is read row by row: (s01, s02, ...,
+    s0(n-1), s12, ...). Each side is an int, a Fraction, a 'num/den' string
+    or a finite float; squared sides are stored exactly.
     """
     sides = list(sides)
     if not sides:
         raise ValueError("empty side list")
-    flat = not hasattr(sides[0], "__len__") or isinstance(sides[0], str)
-    if flat:
-        m = len(sides)
-        n = int((1 + sqrt(1 + 8 * m)) / 2)
-        if n * (n - 1) // 2 != m:
-            raise ValueError(f"{m} side lengths do not fill an upper triangle")
-        vals = [_as_fraction(s) for s in sides]
-        sq = [[Fraction(0)] * n for _ in range(n)]
-        it = iter(vals)
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = next(it)
-                sq[i][j] = sq[j][i] = s * s
-        return SimplexSpec(tuple(tuple(row) for row in sq))
-    vals = [[_as_fraction(x) for x in row] for row in sides]
-    n = len(vals)
-    sq = [[vals[i][j] * vals[i][j] for j in range(n)] for i in range(n)]
+    m = len(sides)
+    n = int((1 + sqrt(1 + 8 * m)) / 2)
+    if n * (n - 1) // 2 != m:
+        raise ValueError(f"{m} side lengths do not fill an upper triangle")
+    sq = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), s in zip(combinations(range(n), 2), sides):
+        sq[i][j] = sq[j][i] = _as_fraction(s) ** 2
     return SimplexSpec(tuple(tuple(row) for row in sq))
 
 
 PSD_TOLERANCE = 1e-8
 
 
+def _from_gram(G: np.ndarray) -> PointSet:
+    """Vertex 0 at the origin and vertex i + 1 at row i of a factor of the
+    Gram matrix G, one coordinate per eigenvalue above PSD_TOLERANCE times
+    the largest, in decreasing order (ties in eigh's order)."""
+    if not len(G):
+        return PointSet.from_floats([[0.0]])
+    w, V = np.linalg.eigh(G)
+    scale = w.max()
+    if not scale > 0:
+        raise ValueError(f"largest Gram eigenvalue is {scale:.6g}, not positive: "
+                         "the squared sides vanish in floating point")
+    if w.min() < -PSD_TOLERANCE * scale:
+        raise NonRealizableError(float(w.min()))
+    keep = np.argsort(-w, kind="stable")
+    keep = keep[w[keep] > PSD_TOLERANCE * scale]
+    coords = V[:, keep] * np.sqrt(w[keep])
+    return PointSet.from_floats(np.vstack([np.zeros(len(keep)), coords]))
+
+
 def realize(spec: SimplexSpec) -> PointSet:
     """Embed a simplex spec in Euclidean space via its Gram factorization.
 
-    Vertex 0 sits at the origin; the dimension is the Gram rank. Raises
+    Vertex 0 sits at the origin, and G_ij = (d_0i^2 + d_0j^2 - d_ij^2) / 2
+    is the Gram matrix of the others; the dimension is its rank. Raises
     NonRealizableError when an eigenvalue is below -PSD_TOLERANCE times the
-    largest one.
+    largest one, and ValueError when no eigenvalue is positive.
     """
-    n = spec.n
-    if n == 1:
-        return PointSet.from_floats([[0.0]])
     M = np.array([[float(x) for x in row] for row in spec.side_sq])
-    G = np.empty((n - 1, n - 1))
-    for i in range(1, n):
-        for j in range(1, n):
-            G[i - 1, j - 1] = (M[0, i] + M[0, j] - M[i, j]) / 2.0
-    w, V = np.linalg.eigh(G)
-    scale = w.max()  # positive: the Gram trace is a sum of squared sides
-    if w.min() < -PSD_TOLERANCE * scale:
-        raise NonRealizableError(float(w.min()))
-    keep = [i for i in range(len(w)) if w[i] > PSD_TOLERANCE * scale]
-    keep.sort(key=lambda i: -w[i])
-    if not keep:
-        keep = [int(np.argmax(w))]
-    coords = V[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
-    pts = [tuple(0.0 for _ in keep)]
-    pts.extend(tuple(float(x) for x in coords[i]) for i in range(n - 1))
-    return PointSet.from_floats(pts)
+    return _from_gram((M[0, 1:, None] + M[0, None, 1:] - M[1:, 1:]) / 2.0)
 
 
 def regular_simplex(m: int, side=1.0) -> PointSet:
-    """m vertices pairwise at distance `side`, embedded in dimension m-1."""
+    """m vertices pairwise at distance `side`, embedded in dimension m-1.
+
+    The Gram matrix is s^2/2 (I + J), with s^2 rounded once from the exact
+    square of `side`."""
     if m < 1:
         raise ValueError("need at least one vertex")
     if float(side) <= 0:
         raise ValueError("side must be positive")
-    if m == 1:
-        return PointSet.from_floats([[0.0]])
-    s_sq = _as_fraction(side) ** 2
-    rows = tuple(tuple(Fraction(0) if i == j else s_sq for j in range(m))
-                 for i in range(m))
-    return realize(SimplexSpec(rows))
+    s_sq = float(_as_fraction(side) ** 2)
+    return _from_gram(s_sq / 2.0 * (np.eye(m - 1) + 1.0))

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .constructions import regular_simplex
-from .geometry import PointSet, diameter, random_orthogonal
+from .geometry import PointSet, _frame, diameter, random_orthogonal
 
 DEFAULT_RESTARTS = 50
 SUPPORT_MARGIN = 1e-4
@@ -83,14 +83,12 @@ class ExtensionProblem:
 
 
 def extension_problem(base: PointSet, anchor: int, t: int,
-                      ambient_dim: int | None = None,
-                      side: float | None = None) -> ExtensionProblem:
-    """Build an ExtensionProblem with spec defaults (side = diam, dim+t)."""
-    if side is None:
-        side = diameter(base).value
+                      ambient_dim: int | None = None) -> ExtensionProblem:
+    """Build an ExtensionProblem of side diam(base), in dimension dim + t
+    unless stated."""
     if ambient_dim is None:
         ambient_dim = base.dim + t
-    return ExtensionProblem(base, anchor, t, ambient_dim, float(side))
+    return ExtensionProblem(base, anchor, t, ambient_dim, diameter(base).value)
 
 
 @dataclass(frozen=True)
@@ -111,17 +109,6 @@ class ExtensionResult:
 def _anchored_frame(t: int, side: float) -> np.ndarray:
     """Vertices 1..t of a regular t-simplex whose vertex 0 is the origin."""
     return regular_simplex(t + 1, side).as_array()[1:]
-
-
-def _frame(A: np.ndarray) -> tuple:
-    """Q, R of A = QR with diag(R) > 0.
-
-    The columns of Q are the Gram-Schmidt frame of A's columns; fixing the
-    signs of diag(R) makes A -> Q continuous along optimizer trajectories.
-    """
-    Q, R = np.linalg.qr(A)
-    signs = np.where(np.diagonal(R) < 0.0, -1.0, 1.0)
-    return Q * signs, R * signs[:, None]
 
 
 def _frame_pullback(Q: np.ndarray, R: np.ndarray,
@@ -484,25 +471,22 @@ def apex_angle_audit(trials: int = 100000, seed: int = 0) -> dict:
     }
 
 
-def _star_frame(seed_or_rng, dim: int) -> tuple:
-    """The generator, and the canonical star tetrahedron padded to dim."""
+def _padded_star(dim: int) -> np.ndarray:
+    """The canonical star tetrahedron's three nonzero vertices, padded to dim."""
     if dim < 6:
         raise ValueError("need ambient dimension >= 6")
-    rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
-           else np.random.default_rng(seed_or_rng))
     padded = np.zeros((3, dim))
     padded[:, :3] = _anchored_frame(3, sqrt(2.0))
-    return rng, padded
+    return padded
 
 
-def random_star_tetrahedron(seed_or_rng, dim: int = 9) -> np.ndarray:
+def random_star_tetrahedron(rng: np.random.Generator, dim: int = 9) -> np.ndarray:
     """Random regular tetrahedron of side sqrt(2) with one vertex at 0.
 
     Returns the three nonzero vertices as rows, each of norm sqrt(2),
     obtained by rotating a canonical frame with a Haar orthogonal map.
     """
-    rng, padded = _star_frame(seed_or_rng, dim)
-    return padded @ random_orthogonal(dim, rng).T
+    return _padded_star(dim) @ random_orthogonal(dim, rng).T
 
 
 def _check_star_tetrahedra(pts: np.ndarray) -> None:
@@ -536,23 +520,23 @@ def far_pair_witness(tetra_points):
     return i, j, float(first6[i, j])
 
 
-def star_witness_values(trials: int, seed_or_rng, dim: int = 9) -> np.ndarray:
+def star_witness_values(trials: int, seed: int, dim: int = 9) -> np.ndarray:
     """far_pair_witness's value for each of `trials` random star tetrahedra.
 
     Draws, in chunks, exactly the tetrahedra that `trials` successive calls
-    of random_star_tetrahedron(rng, dim) draw, with the same values bit for
-    bit: a chunk of Gaussian matrices, one batched QR with the sign fix of
-    random_orthogonal, and the same feasibility checks as far_pair_witness.
+    of random_star_tetrahedron(default_rng(seed), dim) draw, with the same
+    values bit for bit: a chunk of Gaussian matrices, one batched signed QR
+    as in random_orthogonal, and the same feasibility checks as
+    far_pair_witness.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
-    rng, padded = _star_frame(seed_or_rng, dim)
+    rng, padded = np.random.default_rng(seed), _padded_star(dim)
     chunk = max(1, _WITNESS_CHUNK // (dim * dim))
     out = np.empty(trials)
     for start in range(0, trials, chunk):
         k = min(chunk, trials - start)
-        Q, R = np.linalg.qr(rng.standard_normal((k, dim, dim)))
-        Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+        Q = _frame(rng.standard_normal((k, dim, dim)))[0]
         pts = padded @ np.swapaxes(Q, 1, 2)  # (k, 3, dim)
         _check_star_tetrahedra(pts)
         out[start:start + k] = pts[:, :, :6].min(axis=(1, 2))

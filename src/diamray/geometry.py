@@ -219,10 +219,6 @@ class SqDistMatrix:
     exact: bool
     tolerance: float = DEFAULT_TOLERANCE
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -307,23 +303,16 @@ def diameter(P: PointSet) -> DiameterInfo:
 
 
 def cartesian_product(P: PointSet, Q: PointSet) -> PointSet:
-    """Cartesian product set: coordinates concatenated, |P|*|Q| points.
+    """Cartesian product set: coordinates concatenated, |P|*|Q| points,
+    unlabelled.
 
     The squared diameter of the product is diam^2(P) + diam^2(Q).
     """
     mode = EXACT if (P.is_exact and Q.is_exact) else FLOAT
-    pts = []
-    labels = []
-    for i, p in enumerate(P.points):
-        for j, q in enumerate(Q.points):
-            if mode == FLOAT:
-                pts.append(tuple(float(x) for x in p) + tuple(float(x) for x in q))
-            else:
-                pts.append(tuple(p) + tuple(q))
-            if P.labels and Q.labels:
-                labels.append(f"({P.labels[i]},{Q.labels[j]})")
-    tol = max(P.tolerance, Q.tolerance)
-    return PointSet(tuple(pts), mode, tuple(labels) if labels else None, tol)
+    pts = [tuple(p) + tuple(q) for p in P.points for q in Q.points]
+    if mode == FLOAT:
+        pts = [tuple(map(float, p)) for p in pts]
+    return PointSet(tuple(pts), mode, None, max(P.tolerance, Q.tolerance))
 
 
 @dataclass(frozen=True)
@@ -531,8 +520,18 @@ def circumcenter(a, b, c) -> np.ndarray:
     return a + alpha * u + beta * v
 
 
-def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix (QR of a Gaussian with sign fix)."""
-    A = rng.standard_normal((dim, dim))
+def _frame(A: np.ndarray) -> tuple:
+    """Q, R of A = QR with diag(R) >= 0, for one matrix or a stack of them.
+
+    The columns of Q are the Gram-Schmidt frame of A's columns; fixing the
+    signs of diag(R) makes A -> Q continuous along optimizer trajectories,
+    and makes Q Haar-distributed when A is Gaussian.
+    """
     Q, R = np.linalg.qr(A)
-    return Q * np.sign(np.diag(R))
+    signs = np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    return Q * signs[..., None, :], R * signs[..., None]
+
+
+def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed orthogonal matrix (signed QR of a Gaussian)."""
+    return _frame(rng.standard_normal((dim, dim)))[0]

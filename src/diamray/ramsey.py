@@ -331,14 +331,13 @@ def near_regular_simplex_embedding(spec: SimplexSpec,
     n = spec.n
     if n < 2:
         raise ValueError("need at least two vertices")
-    side_sq = spec.side_sq
-    if normalize:
-        m = spec.max_side_sq()
-        side_sq = spec.scaled(Fraction(1) / m).side_sq
-    else:
-        if spec.max_side_sq() != 1:
-            raise ValueError("diameter must be 1 when normalize is off")
     pairs = list(combinations(range(n), 2))
+    side_sq = spec.side_sq
+    m = max(side_sq[i][j] for i, j in pairs)
+    if normalize:
+        side_sq = tuple(tuple(x / m for x in row) for row in side_sq)
+    elif m != 1:
+        raise ValueError("diameter must be 1 when normalize is off")
     total = sum(side_sq[i][j] for i, j in pairs)
     need = Fraction(n * (n - 1), 2) - 1
     deficit = total - need

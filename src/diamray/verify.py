@@ -5,8 +5,10 @@ desk scale and reports pass/fail with a structured payload. The fast suite
 trims sample counts; `FULL` is what the acceptance tests run, each check
 once with a fixed seed. Both suites run the extension optimizer from one
 start, because its verdicts rest on a duality certificate, not on the
-number of restarts. Checks are deterministic given the seed, and a seed
-change may alter sampled instances but never a verdict.
+number of restarts. Checks are deterministic given the seed and the BLAS
+thread count, and a seed change may alter sampled instances but never a
+verdict. The thread count changes the optimizer's low digits, and rarely
+whether it draws a retry start, but not a verdict.
 """
 
 from __future__ import annotations

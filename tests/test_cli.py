@@ -106,6 +106,16 @@ def test_embed_accept_and_reject(capsys):
     assert doc["deficit"] == pytest.approx(-0.28)
 
 
+def test_embed_no_normalize_needs_unit_diameter(capsys):
+    code, doc = _run(capsys, "embed", "--sides", "1,0.99,0.98", "--no-normalize")
+    assert code == 0 and doc["ok"] and doc["diam_sq"] == "1"
+    for sides in ("2,1.98,1.96", "0.99,0.98,0.97"):
+        code = main(["embed", "--sides", sides, "--no-normalize"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "diameter must be 1 when normalize is off" in captured.err
+
+
 def test_gadget_cli(capsys):
     code, doc = _run(capsys, "gadget", "--trials", "5000", "--seed", "3")
     assert code == 0 and doc["monochromatic"] == 0

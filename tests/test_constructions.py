@@ -127,6 +127,14 @@ def test_regular_simplex_basic():
         assert tet.dim == 3
 
 
+def test_regular_simplex_with_vanishing_squared_sides_raises():
+    # 1e-170 squared underflows to 0.0: the Gram matrix has no positive
+    # eigenvalue, which is reported instead of collapsing the points
+    with pytest.raises(ValueError, match="not positive") as err:
+        regular_simplex(3, 1e-170)
+    assert not isinstance(err.value, NonRealizableError)
+
+
 def test_regular_polygon_chords():
     P = regular_polygon(5, 2.0)
     M = sq_dist_matrix(P)
@@ -237,3 +245,32 @@ def test_simplex_spec_validation():
         simplex_from_squared_sides([[1, 1], [1, 0]])
     with pytest.raises(ValueError):
         simplex_from_sides([1, 1])  # not an upper triangle count
+
+
+def test_simplex_from_sides_reads_only_the_flat_upper_triangle():
+    with pytest.raises((TypeError, ValueError)):
+        simplex_from_sides([[0, 3, 4], [3, 0, 5], [4, 5, 0]])
+    assert simplex_from_sides([3, 4, 5]).side_sq == (
+        (0, 9, 16), (9, 0, 25), (16, 25, 0))
+    nine = Fraction(9, 25)
+    spec = simplex_from_sides(["1", "3/5", "3/5"])
+    assert spec.side_sq == ((0, 1, nine), (1, 0, nine), (nine, nine, 0))
+    assert all(type(x) is Fraction for row in spec.side_sq for x in row)
+
+
+def test_gram_routes_match_the_loop_reference():
+    from diamray.constructions import _from_gram
+
+    # realize's broadcast Gram matrix against the double loop it replaced
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 4, 6):
+        spec = simplex_from_sides(rng.uniform(0.9, 1.0, size=comb(n, 2)).tolist())
+        M = [[float(x) for x in row] for row in spec.side_sq]
+        G = np.array([[(M[0][i] + M[0][j] - M[i][j]) / 2.0 for j in range(1, n)]
+                      for i in range(1, n)])
+        assert realize(spec).points == _from_gram(G).points
+    # s^2/2 (I + J) is that Gram matrix for equal sides, to the last bit
+    for m in range(2, 9):
+        for side in (1.0, 2.5, 1e-5, 1e5, sqrt(2), Fraction(7, 3)):
+            spec = simplex_from_sides([side] * comb(m, 2))
+            assert regular_simplex(m, side).points == realize(spec).points
