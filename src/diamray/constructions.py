@@ -215,6 +215,16 @@ def simplex_from_sides(sides) -> SimplexSpec:
     return SimplexSpec(tuple(tuple(row) for row in sq))
 
 
+def _float_sq(x_sq, side) -> float:
+    """float(x_sq) of an exact squared side, or a ValueError naming `side`
+    when the square is too large for a float."""
+    try:
+        return float(x_sq)
+    except OverflowError:
+        raise ValueError(
+            f"side {side}: its square is too large for a float") from None
+
+
 PSD_TOLERANCE = 1e-8
 
 
@@ -245,7 +255,8 @@ def realize(spec: SimplexSpec) -> PointSet:
     NonRealizableError when an eigenvalue is below -PSD_TOLERANCE times the
     largest one, and ValueError when no eigenvalue is positive.
     """
-    M = np.array([[float(x) for x in row] for row in spec.side_sq])
+    M = np.array([[_float_sq(x, (i, j)) for j, x in enumerate(row)]
+                  for i, row in enumerate(spec.side_sq)])
     return _from_gram((M[0, 1:, None] + M[0, None, 1:] - M[1:, 1:]) / 2.0)
 
 
@@ -256,7 +267,8 @@ def regular_simplex(m: int, side=1.0) -> PointSet:
     square of `side`."""
     if m < 1:
         raise ValueError("need at least one vertex")
-    if float(side) <= 0:
+    exact = _as_fraction(side)
+    if exact <= 0:
         raise ValueError("side must be positive")
-    s_sq = float(_as_fraction(side) ** 2)
+    s_sq = _float_sq(exact ** 2, side)
     return _from_gram(s_sq / 2.0 * (np.eye(m - 1) + 1.0))

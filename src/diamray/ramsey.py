@@ -5,15 +5,17 @@ copy of P monochromatic; deciding that reduces to non-colorability of the
 copy hypergraph. The embedding witnesses certify the constructive half of
 the diameter-preserving host constructions: a pattern embeds into a product
 of regular simplices whose diameter equals the pattern's. One builder,
-`_product_witness`, makes every such witness from the factors and the
-factor vertices of each pattern vertex. Certificates are kept in exact
-rational arithmetic on squared lengths; realizations are float and checked
-against a relative tolerance.
+`_product_witness`, makes every such witness from the pattern's exact
+squared sides: a core simplex and one simplex per vertex pair, less those
+of side zero, so a triangle's product is at most two segments and an
+equilateral core. Certificates are kept in exact rational arithmetic on
+squared lengths; realizations are float and checked against a relative
+tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -22,12 +24,7 @@ from math import ceil, floor, prod, sqrt
 import numpy as np
 
 from .coloring import Coloring, colorable
-from .constructions import (
-    SimplexSpec,
-    regular_simplex,
-    realize,
-    segment,
-)
+from .constructions import SimplexSpec, regular_simplex, realize
 from .geometry import (
     PointSet,
     cartesian_product,
@@ -200,86 +197,100 @@ class EmbeddingConditionError(ValueError):
             f"{float(-deficit):.6g}")
 
 
-def _pair_checks(embedded: PointSet, side_sq):
-    checks = []
-    n = len(embedded)
-    for i in range(n):
-        for j in range(i + 1, n):
-            measured = float(sq_dist(embedded.points[i], embedded.points[j], False))
-            exp = side_sq[i][j]
-            ok = _same_distance(measured, float(exp), REL_TOL)
-            checks.append(PairCheck(i, j, exp, measured, ok))
-    return tuple(checks)
+def _product_witness(side_sq, details) -> EmbeddingWitness:
+    """The witness of a pattern placed on a product of regular simplices
+    whose squared diameter is the pattern's, D.
 
-
-def _product_witness(side_sq, factors, corners, diam_sq,
-                     details) -> EmbeddingWitness:
-    """The witness of a pattern placed on vertices of a product of factors.
-
-    Pattern vertex k sits at the product vertex whose f-th coordinate block
-    is factors[f].points[corners[k][f]]; `side_sq` is the pattern's exact
-    squared side matrix, against which every pair is checked. The embedded
-    set is exact when every factor is. The host is materialized while it
-    has at most HOST_LIMIT points, with the pattern's indices in
+    `side_sq` is the pattern's exact squared side matrix s. The core is one
+    regular n-simplex of squared side a^2 = sum s_ij - (C(n,2) - 1) D, and
+    each pair (i, j) adds one regular (n-1)-simplex of squared side
+    x_ij^2 = D - s_ij, so the product's squared diameter is a^2 + sum
+    x_ij^2 = D. Pattern vertex k sits on core vertex k and, in the (i, j)
+    factor, on vertex 0 when k is i or j and on vertices 1, 2, ...
+    otherwise; pair (k, l) is then at squared distance D - x_kl^2 = s_kl.
+    A negative a^2 raises EmbeddingConditionError(a^2). Zero-side factors
+    are dropped and named in `dropped_factors`; a segment is the two-vertex
+    factor. Every pair is checked against `side_sq`, `measured_diam_sq_err`
+    is |sum diam(f)^2 - D| / D, and the host is materialized while it has
+    at most HOST_LIMIT points, with the pattern's indices in
     `cartesian_product`'s order (mixed radix, the last factor fastest).
     """
-    pts = [sum((f.points[c] for f, c in zip(factors, col)), ()) for col in corners]
-    if all(f.is_exact for f in factors):
-        embedded = PointSet.exact(pts)
-    else:
-        embedded = PointSet.from_floats(pts)
+    n = len(side_sq)
+    pairs = list(combinations(range(n), 2))
+    D = max(side_sq[i][j] for i, j in pairs)
+    a_sq = sum(side_sq[i][j] for i, j in pairs) - (len(pairs) - 1) * D
+    if a_sq < 0:
+        raise EmbeddingConditionError(a_sq)
+    x_sq = {(i, j): D - side_sq[i][j] for i, j in pairs}
+    assert a_sq + sum(x_sq.values()) == D  # exact on squared lengths
     pattern = realize(SimplexSpec(side_sq))
+
+    factors, columns, dropped = [], [], []
+    if a_sq > 0:
+        factors.append(regular_simplex(n, sqrt(float(a_sq))))
+        columns.append(range(n))
+    else:
+        dropped.append("core")
+    for (i, j), x in x_sq.items():
+        if x > 0:
+            factors.append(regular_simplex(n - 1, sqrt(float(x))))
+            others = iter(range(1, n - 1))
+            columns.append([0 if k in (i, j) else next(others) for k in range(n)])
+        else:
+            dropped.append(f"pair{(i, j)}")
+    corners = tuple(zip(*columns))
+    embedded = PointSet.from_floats(
+        [sum((f.points[c] for f, c in zip(factors, col)), ()) for col in corners])
+    measured_diam_sq = sum(diameter(f).value ** 2 for f in factors)
     host = idx = None
     shape = [len(f) for f in factors]
     if prod(shape) <= HOST_LIMIT:
         host = reduce(cartesian_product, factors)
         idx = tuple(int(np.ravel_multi_index(col, shape)) for col in corners)
+    checks = []
+    for i, j in pairs:
+        measured = float(sq_dist(embedded.points[i], embedded.points[j], False))
+        checks.append(PairCheck(i, j, side_sq[i][j], measured, _same_distance(
+            measured, float(side_sq[i][j]), REL_TOL)))
     return EmbeddingWitness(
         pattern=pattern, factors=tuple(factors), embedded=embedded,
-        diam_sq=diam_sq, pair_checks=_pair_checks(embedded, side_sq),
+        diam_sq=D, pair_checks=tuple(checks),
         congruent=find_congruence(embedded, pattern) is not None,
-        host=host, embedded_host_indices=idx, details=details)
-
-
-def _host_diameter_checked(w: EmbeddingWitness) -> EmbeddingWitness:
-    ok = _same_distance(diameter(w.host).value ** 2, float(w.diam_sq), REL_TOL)
-    return replace(w, details={**w.details, "host_diam_sq_ok": ok})
+        host=host, embedded_host_indices=idx, details={
+            **details, "dropped_factors": dropped,
+            "measured_diam_sq_err": abs(measured_diam_sq - float(D)) / float(D)})
 
 
 def right_triangle_embedding(l1, l2) -> EmbeddingWitness:
     """Embed the right triangle with the given legs into a two-segment brick.
 
-    The brick's squared diameter is l1^2 + l2^2, the triangle's hypotenuse,
-    and the triangle sits on three of the four brick vertices. A zero leg
-    degenerates the triangle to a segment and drops that factor. The details
-    are stated for 2 colors, for which a segment factor needs 3 host
-    vertices.
+    The triangle sits on brick vertices (0, l1), (0, 0) and (l2, 0), and
+    the brick's squared diameter l1^2 + l2^2 is the hypotenuse's; the core
+    factor drops. A zero leg degenerates the triangle to a segment, the
+    two-vertex case. The details are stated for 2 colors, for which a
+    segment factor needs 3 host vertices.
     """
     leg1, leg2 = Fraction(l1), Fraction(l2)
     if leg1 < 0 or leg2 < 0 or (leg1 == 0 and leg2 == 0):
         raise ValueError("legs must be nonnegative and not both zero")
-    if leg2 > leg1:
-        leg1, leg2 = leg2, leg1
-    l1_sq, l2_sq = leg1 * leg1, leg2 * leg2
-    if leg2 == 0:
-        return _product_witness(
-            ((0, l1_sq), (l1_sq, 0)), (segment(leg1),), ((0,), (1,)), l1_sq,
-            {"degenerate": "segment", "colors": 2, "segment_host_vertices": 3})
+    l1_sq, l2_sq = sorted((leg1 * leg1, leg2 * leg2), reverse=True)
+    details = {"colors": 2, "segment_host_vertices": 3}
+    if l2_sq == 0:
+        return _product_witness(((0, l1_sq), (l1_sq, 0)),
+                                {"degenerate": "segment", **details})
     diam_sq = l1_sq + l2_sq
-    # brick vertices (0, 0), (l1, 0), (l1, l2)
-    return _host_diameter_checked(_product_witness(
+    return _product_witness(
         ((0, l1_sq, diam_sq), (l1_sq, 0, l2_sq), (diam_sq, l2_sq, 0)),
-        (segment(leg1), segment(leg2)), ((0, 0), (1, 0), (1, 1)), diam_sq,
-        {"l1_sq": l1_sq, "l2_sq": l2_sq, "colors": 2, "segment_host_vertices": 3}))
+        {"l1_sq": l1_sq, "l2_sq": l2_sq, **details})
 
 
 def acute_triangle_embedding(a, b, c) -> EmbeddingWitness:
     """Embed an acute (or right) triangle into a diameter-preserving product.
 
-    With sides a <= b <= c, the product of a right triangle with legs
-    sqrt(c^2-a^2), sqrt(c^2-b^2) and an equilateral triangle of side
-    sqrt(a^2+b^2-c^2) has squared diameter c^2 and contains the triangle.
-    Obtuse inputs are rejected; use the degeneracy module for those.
+    With sides a <= b <= c the product is segment(sqrt(c^2-a^2)) x
+    segment(sqrt(c^2-b^2)) x equilateral(sqrt(a^2+b^2-c^2)), of squared
+    diameter c^2, less its zero-side factors. Obtuse inputs are rejected;
+    use the degeneracy module for those.
     """
     sa, sb, sc = sorted((Fraction(a), Fraction(b), Fraction(c)))
     if sa <= 0 or sa + sb <= sc:
@@ -290,31 +301,10 @@ def acute_triangle_embedding(a, b, c) -> EmbeddingWitness:
         raise ValueError(
             "obtuse triangle: no diameter-preserving product embedding here; "
             "see the degeneracy analysis instead")
-    l1_sq = c_sq - a_sq
-    l2_sq = c_sq - b_sq
-    # identities behind the construction; exact by rational arithmetic
-    assert a_sq == l2_sq + x_sq and b_sq == l1_sq + x_sq
-    assert c_sq == l1_sq + l2_sq + x_sq
-    if x_sq == 0:
-        return right_triangle_embedding(sb, sa)
-
-    S = regular_simplex(3, sqrt(float(x_sq)))
-    # the right-triangle (or segment) factor T0 first, then S; S vertex k
-    # goes to pattern vertex k
-    if l1_sq == 0:
-        # equilateral (l2_sq <= l1_sq): the product collapses to S
-        factors, corners = (S,), ((0,), (1,), (2,))
-    elif l2_sq == 0:
-        factors = (segment(sqrt(float(l1_sq))), S)
-        corners = ((0, 0), (1, 1), (1, 2))
-    else:
-        l1f, l2f = sqrt(float(l1_sq)), sqrt(float(l2_sq))
-        T0 = PointSet.from_floats([(0.0, 0.0), (l1f, 0.0), (l1f, l2f)])
-        factors, corners = (T0, S), ((0, 0), (2, 1), (1, 2))
-    return _host_diameter_checked(_product_witness(
-        ((0, c_sq, b_sq), (c_sq, 0, a_sq), (b_sq, a_sq, 0)), factors, corners,
-        c_sq, {"a_sq": a_sq, "b_sq": b_sq, "c_sq": c_sq, "l1_sq": l1_sq,
-               "l2_sq": l2_sq, "x_sq": x_sq, "colors": 2}))
+    return _product_witness(
+        ((0, c_sq, b_sq), (c_sq, 0, a_sq), (b_sq, a_sq, 0)),
+        {"a_sq": a_sq, "b_sq": b_sq, "c_sq": c_sq, "l1_sq": c_sq - a_sq,
+         "l2_sq": c_sq - b_sq, "x_sq": x_sq, "colors": 2})
 
 
 def near_regular_simplex_embedding(spec: SimplexSpec,
@@ -322,11 +312,8 @@ def near_regular_simplex_embedding(spec: SimplexSpec,
     """Embed a near-regular simplex into a product of regular simplices.
 
     After scaling the diameter to 1, the squared sides must sum to at least
-    n(n-1)/2 - 1; otherwise EmbeddingConditionError reports the deficit.
-    The product of one regular n-simplex (side a) and one regular
-    (n-1)-simplex per vertex pair (side x_ij) has squared diameter exactly
-    a^2 + sum x_ij^2 = 1, and the embedded points reproduce every squared
-    side as 1 - x_ij^2. Zero-side factors are dropped.
+    n(n-1)/2 - 1; otherwise EmbeddingConditionError reports the deficit,
+    which is the core's squared side a^2 (see `_product_witness`).
     """
     n = spec.n
     if n < 2:
@@ -339,44 +326,9 @@ def near_regular_simplex_embedding(spec: SimplexSpec,
     elif m != 1:
         raise ValueError("diameter must be 1 when normalize is off")
     total = sum(side_sq[i][j] for i, j in pairs)
-    need = Fraction(n * (n - 1), 2) - 1
-    deficit = total - need
-    if deficit < 0:
-        raise EmbeddingConditionError(deficit)
-    a_sq = deficit
-    x_sq = {(i, j): 1 - side_sq[i][j] for i, j in pairs}
-    # product diameter identity, exact on squared lengths
-    assert a_sq + sum(x_sq.values()) == 1
-    for (k, l) in pairs:
-        assert a_sq + sum(x_sq.values()) - x_sq[(k, l)] == side_sq[k][l]
-
-    # the core simplex's vertex k is pattern vertex k; the pair (i, j)
-    # factor puts i and j on its vertex 0 and the others on 1, 2, ...
-    factors, columns, dropped = [], [], []
-    if a_sq > 0:
-        factors.append(regular_simplex(n, sqrt(float(a_sq))))
-        columns.append(range(n))
-    else:
-        dropped.append("core")
-    for (i, j) in pairs:
-        if x_sq[(i, j)] > 0 and n - 1 >= 2:
-            factors.append(regular_simplex(n - 1, sqrt(float(x_sq[(i, j)]))))
-            others = iter(range(1, n - 1))
-            columns.append([0 if k in (i, j) else next(others) for k in range(n)])
-        else:
-            dropped.append(f"pair{(i, j)}")
-    if not factors:
-        raise AssertionError("unreachable: a_sq and all x_ij cannot vanish together")
-    measured_diam_sq = sum(diameter(f).value ** 2 for f in factors)
-    return _product_witness(
-        side_sq, factors, tuple(zip(*columns)), Fraction(1), {
-            "n": n,
-            "a_sq": a_sq,
-            "sum_side_sq": total,
-            "condition_slack": deficit,
-            "dropped_factors": dropped,
-            "measured_diam_sq_err": abs(measured_diam_sq - 1.0),
-        })
+    slack = total - (len(pairs) - 1)
+    return _product_witness(side_sq, {
+        "n": n, "a_sq": slack, "sum_side_sq": total, "condition_slack": slack})
 
 
 def mod8_color(x) -> int:

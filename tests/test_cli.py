@@ -238,6 +238,11 @@ def test_malformed_values_exit_2(tmp_path, capsys):
             (["construct", "brick", "--lengths", "1/0,2"], "1/0"),
             (["construct", "simplex", "--sides", "1,1,1/0"], "1/0"),
             (["construct", "simplex", "--sides", "inf,1,1"], "inf"),
+            # squares too large for a float
+            (["construct", "simplex", "--vertices", "3", "--side", "1e200"],
+             "side 1e+200"),
+            (["construct", "simplex", "--sides", "1e200,1e200,1e200"],
+             "side (0, 1)"),
             (["diam", "--input", str(nan)], "point 0 has a non-finite"),
             *((["diam", "--input", str(path)], "tolerance") for path in bad_tol),
             (["construct", "polygon", "-n", "5", "--circumradius", "nan"],

@@ -135,6 +135,16 @@ def test_regular_simplex_with_vanishing_squared_sides_raises():
     assert not isinstance(err.value, NonRealizableError)
 
 
+def test_regular_simplex_string_side_matches_fraction():
+    # a 'num/den' string side is read like the Fraction it names, as in
+    # `segment` and `simplex_from_sides`
+    for m in (2, 3, 5):
+        assert regular_simplex(m, "7/3").points == \
+            regular_simplex(m, Fraction(7, 3)).points
+    with pytest.raises(ValueError, match="positive"):
+        regular_simplex(3, "-7/3")
+
+
 def test_regular_polygon_chords():
     P = regular_polygon(5, 2.0)
     M = sq_dist_matrix(P)

@@ -34,7 +34,7 @@ from diamray import (
     EmbeddingConditionError,
 )
 from diamray.geometry import _distance_preserving_maps
-from diamray.ramsey import BOUNDARY_TOL, _gadget_placements
+from diamray.ramsey import BOUNDARY_TOL, REL_TOL, _gadget_placements
 
 
 def _heptagon_copy_census():
@@ -239,6 +239,52 @@ def test_embedding_host_indices_locate_embedded_points():
     for w in witnesses:
         assert w.host.select(w.embedded_host_indices).points == w.embedded.points
         assert diameter(w.host).sq == pytest.approx(float(w.diam_sq), rel=1e-9)
+
+
+def test_every_factor_is_a_regular_simplex():
+    witnesses = [right_triangle_embedding(3, 4), right_triangle_embedding(1, 1)]
+    witnesses += [acute_triangle_embedding(*sides) for sides in
+                  ((4, 5, 6), (1, 2, 2), (1, 1, 1), (3, 4, 5))]
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        sides = [float(x) for x in rng.uniform(0.97, 1.0, size=n * (n - 1) // 2)]
+        witnesses.append(near_regular_simplex_embedding(simplex_from_sides(sides)))
+    for w in witnesses:
+        for f in w.factors:
+            M = sq_dist_matrix(f).entries
+            sq = [float(M[i][j]) for i, j in combinations(range(len(f)), 2)]
+            assert all(abs(x - sq[0]) <= REL_TOL * sq[0] for x in sq), sq
+
+
+def test_acute_triangles_are_the_three_vertex_near_regular_case():
+    # a^2 + b^2 >= c^2 is the near-regular condition at n = 3, and both
+    # routes build the same product
+    rng = np.random.default_rng(33)
+    checked = obtuse = 0
+    while checked < 200:
+        a, b, c = sorted(int(x) for x in rng.integers(1, 30, size=3))
+        if a + b <= c:
+            continue
+        checked += 1
+        try:
+            acute = acute_triangle_embedding(a, b, c)
+        except ValueError as exc:
+            assert "obtuse" in str(exc)
+            acute = None
+        try:
+            near = near_regular_simplex_embedding(simplex_from_sides([c, b, a]))
+        except EmbeddingConditionError:
+            near = None
+        assert (acute is None) == (near is None), (a, b, c)
+        if acute is None:
+            obtuse += 1
+            continue
+        assert acute.ok and near.ok
+        assert sorted(len(f) for f in acute.factors) == \
+            sorted(len(f) for f in near.factors)
+        assert acute.details["dropped_factors"] == near.details["dropped_factors"]
+    assert 0 < obtuse < checked
 
 
 def test_mod8_color_values():
