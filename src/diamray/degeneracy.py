@@ -26,17 +26,16 @@ placement meets it. A result is certified when the placement and the bound
 agree to CERTIFY_GAP.
 
 SUPPORTED verdicts rest on the certified lower bound; REFUTED verdicts
-exhibit an explicit placement.
+exhibit an explicit placement. SciPy is imported on the first optimizer call.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .constructions import regular_simplex
 from .geometry import PointSet, _frame, diameter, random_orthogonal
@@ -56,6 +55,12 @@ _BETA = 16.0  # the surrogate's sharpness, in units of the problem's scale
 _POLISH = {"maxiter": 200, "ftol": 1e-16}
 _WITNESS_TOL = 1e-9  # relative, on the squared norms and sides of 2
 _WITNESS_CHUNK = 1 << 17  # Gaussian entries drawn at once: 1 MiB
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -356,6 +361,8 @@ def degeneracy_evidence(P: PointSet, t: int, margin: float = SUPPORT_MARGIN,
     counterexample).
     Anything in between is INCONCLUSIVE.
     """
+    if not (isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
     diam = diameter(P).value
     anchors = []
     for a in range(len(P)):

@@ -174,6 +174,18 @@ def test_degen_cli_rejects_zero_restarts(tmp_path, capsys):
         assert "restarts" in captured.err and captured.out == ""
 
 
+def test_degen_cli_rejects_bad_margin(tmp_path, capsys):
+    tri = tmp_path / "tri.json"
+    from diamray import isosceles_apex_triangle
+    tri.write_text(json.dumps(isosceles_apex_triangle(160.0).to_json()))
+    for margin in ("nan", "inf", "-1"):
+        code = main(["degen", "--input", str(tri), "-t", "1",
+                     "--restarts", "1", "--margin", margin])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "margin" in captured.err and captured.out == ""
+
+
 def test_t5_witness_cli(capsys):
     code, doc = _run(capsys, "t5-witness", "--trials", "100", "--seed", "2")
     assert code == 0 and doc["failures"] == 0

@@ -1,6 +1,9 @@
 """Extension optimizer, degeneracy verdicts, and the corner-star witness."""
 
+import json
 import os
+import subprocess
+import sys
 from math import cos, radians, sin, sqrt
 
 import numpy as np
@@ -76,6 +79,13 @@ def test_degeneracy_evidence_verdicts():
     rep = degeneracy_evidence(acute, 1, restarts=RESTARTS, seed=1)
     assert all(a["verdict"] == "REFUTED" for a in rep["anchors"])
     assert rep["overall"] == "refuted"
+
+
+def test_degeneracy_evidence_rejects_bad_margin():
+    tri160 = isosceles_apex_triangle(160.0)
+    for margin in (float("nan"), float("inf"), -1.0, -1e-12):
+        with pytest.raises(ValueError, match="margin"):
+            degeneracy_evidence(tri160, 1, margin=margin, restarts=1)
 
 
 def test_extension_value_never_below_diameter():
@@ -468,3 +478,34 @@ def test_zero_restarts_rejected():
     with pytest.raises(ValueError, match="restarts"):
         min_extension_diameter(extension_problem(cube_corner_set(), 0, 3),
                                restarts=0)
+
+
+_FRESH_IMPORT = """
+import json, sys
+import diamray, diamray.cli
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from diamray import extension_problem, isosceles_apex_triangle
+from diamray import min_extension_diameter
+res = min_extension_diameter(
+    extension_problem(isosceles_apex_triangle(160.0), 0, 1),
+    restarts=2, seed=0)
+print(json.dumps({"before": before,
+                  "after": "scipy.optimize" in sys.modules,
+                  "result": [res.value, res.lower, res.certified]}))
+"""
+
+
+def test_fresh_import_loads_scipy_only_for_the_optimizer():
+    import diamray
+
+    # this process holds SciPy already, so the import is watched in a new one
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(diamray.__file__)))
+    out = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    doc = json.loads(out)
+    assert doc["before"] == [] and doc["after"] is True
+    res = min_extension_diameter(
+        extension_problem(isosceles_apex_triangle(160.0), 0, 1),
+        restarts=2, seed=0)
+    assert doc["result"] == [res.value, res.lower, res.certified]
