@@ -51,7 +51,7 @@ class CliError(Exception):
     """Usage or input problem; exits with status 2, as does a ValueError."""
 
 
-def _emit(doc: dict, path: str | None = None) -> None:
+def _emit(doc: dict, path: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if path:
         with open(path, "w") as fh:
@@ -96,53 +96,37 @@ def _lengths(text: str):
     return vals
 
 
-def _cmd_construct(args) -> int:
-    family = args.family
-    if family == "kk":
-        ps = kahn_kalai_set(args.n)
-    elif family == "kneser":
-        ps = kneser_points(args.n, args.k, args.r)
-    elif family == "simplex":
-        if args.sides:
-            ps = realize(simplex_from_sides(_lengths(args.sides)))
-        else:
-            ps = regular_simplex(args.vertices, args.side)
-    elif family == "polygon":
-        ps = regular_polygon(args.n, args.circumradius)
-    elif family == "brick":
-        ps = brick(_lengths(args.lengths))
-    elif family == "t5":
-        ps = cube_corner_set()
-    elif family == "heptagon":
-        host, pattern = heptagon_config(args.circumradius)
-        ps = host if args.part == "host" else pattern
-    else:
-        raise CliError(f"unknown family {family}")
-    _emit(ps.to_json(), args.output)
-    return 0
+def _simplex(args):
+    if args.sides:
+        return realize(simplex_from_sides(_lengths(args.sides)))
+    return regular_simplex(args.vertices, args.side)
 
 
-def _cmd_diam(args) -> int:
-    P = _load(PointSet, args.input)
-    info = diameter(P)
-    _emit({
+def _heptagon(args):
+    host, pattern = heptagon_config(args.circumradius)
+    return host if args.part == "host" else pattern
+
+
+def _cmd_construct(args) -> dict:
+    return args.build(args).to_json()
+
+
+def _cmd_diam(args) -> dict:
+    info = diameter(_load(PointSet, args.input))
+    return {
         "schema": 1,
         "diameter": info.value,
         "diameter_sq": info.sq if isinstance(info.sq, (int, float)) else str(info.sq),
         "pairs": [list(p) for p in info.pairs],
         "near_misses": [list(p) for p in info.near_misses],
-    }, args.output)
-    return 0
+    }
 
 
-def _cmd_hyper(args) -> int:
-    P = _load(PointSet, args.input)
-    H = diameter_hypergraph(P, args.r)
-    _emit(H.to_json(), args.output)
-    return 0
+def _cmd_hyper(args) -> dict:
+    return diameter_hypergraph(_load(PointSet, args.input), args.r).to_json()
 
 
-def _cmd_chrom(args) -> int:
+def _cmd_chrom(args) -> dict:
     H = _load(Hypergraph, args.input)
     if H.n_vertices > 60 and not args.slow:
         raise CliError(
@@ -150,93 +134,79 @@ def _cmd_chrom(args) -> int:
             "pass --slow to run anyway")
     if args.max_colors is not None:
         witness = colorable(H, args.max_colors)
-        doc = {"schema": 1, "colorable": witness is not None,
-               "num_colors": args.max_colors,
-               "witness": list(witness.colors) if witness else None}
-        _emit(doc, args.output)
-        return 0
+        return {"schema": 1, "colorable": witness is not None,
+                "num_colors": args.max_colors,
+                "witness": list(witness.colors) if witness else None}
     chi, witness = chromatic_number(H)
-    _emit({"schema": 1, "chi": chi, "witness": list(witness.colors)},
-          args.output)
-    return 0
+    return {"schema": 1, "chi": chi, "witness": list(witness.colors)}
 
 
-def _cmd_arrow(args) -> int:
+def _cmd_arrow(args) -> dict:
     host = _load(PointSet, args.host)
     pattern = _load(PointSet, args.pattern)
     res = arrows(host, pattern, args.r)
-    _emit({
+    return {
         "schema": 1,
         "arrows": res.arrows,
         "colors": args.r,
         "num_copies": res.num_copies,
         "evading": list(res.evading.colors) if res.evading else None,
         "pattern_automorphisms": res.pattern_automorphisms,
-    }, args.output)
-    return 0
+    }
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> dict:
     spec = simplex_from_sides(_lengths(args.sides))
     try:
-        witness = near_regular_simplex_embedding(
-            spec, normalize=not args.no_normalize)
+        return near_regular_simplex_embedding(
+            spec, normalize=not args.no_normalize).to_json()
     except EmbeddingConditionError as exc:
-        _emit({"schema": 1, "ok": False, "deficit": float(exc.deficit),
-               "reason": str(exc)}, args.output)
-        return 1
-    _emit(witness.to_json(), args.output)
-    return 0 if witness.ok else 1
+        return {"schema": 1, "ok": False, "deficit": float(exc.deficit),
+                "reason": str(exc)}
 
 
-def _cmd_gadget(args) -> int:
+def _cmd_gadget(args) -> dict:
     rep = obtuse_gadget_audit(K=args.K, trials=args.trials, seed=args.seed,
                               dim=args.dim, legs=args.legs)
-    doc = dict(rep)
-    doc["schema"] = 1
-    _emit(doc, args.output)
-    return 0 if rep["ok"] else 1
+    return {**rep, "schema": 1}
 
 
-def _cmd_degen(args) -> int:
+def _cmd_degen(args) -> dict:
     P = _load(PointSet, args.input)
     try:
-        if args.anchor is not None:
-            prob = extension_problem(P, args.anchor, args.t,
-                                     ambient_dim=args.ambient_dim)
-            res = min_extension_diameter(prob, restarts=args.restarts,
-                                         seed=args.seed)
-            diam = diameter(P).value
-            _emit({
-                "schema": 1,
-                "anchor": args.anchor,
-                "t": args.t,
-                "diameter": diam,
-                "value": res.value,
-                "lower": res.lower,
-                "certified": res.certified,
-                "excess": res.value - diam,
-                "feasibility_error": res.feasibility_error,
-                "restart_values": list(res.restart_values),
-                "evaluations": res.evaluations,
-                "gradients": res.gradients,
-                "simplex": res.simplex.to_json(),
-            }, args.output)
-        else:
+        if args.anchor is None:
             rep = degeneracy_evidence(P, args.t, margin=args.margin,
                                       restarts=args.restarts, seed=args.seed,
                                       ambient_dim=args.ambient_dim)
-            rep["schema"] = 1
-            _emit(rep, args.output)
+            return {**rep, "schema": 1}
+        prob = extension_problem(P, args.anchor, args.t,
+                                 ambient_dim=args.ambient_dim)
+        res = min_extension_diameter(prob, restarts=args.restarts,
+                                     seed=args.seed)
     except RuntimeError as exc:
         raise CliError(str(exc)) from exc
-    return 0
+    diam = diameter(P).value
+    return {
+        "schema": 1,
+        "anchor": args.anchor,
+        "t": args.t,
+        "diameter": diam,
+        "value": res.value,
+        "lower": res.lower,
+        "certified": res.certified,
+        "excess": res.value - diam,
+        "feasibility_error": res.feasibility_error,
+        "restart_values": list(res.restart_values),
+        "evaluations": res.evaluations,
+        "gradients": res.gradients,
+        "simplex": res.simplex.to_json(),
+    }
 
 
-def _cmd_t5_witness(args) -> int:
+def _cmd_t5_witness(args) -> dict:
     values = star_witness_values(args.trials, args.seed, dim=args.dim)
     failures = int((values >= 0.5).sum())
-    _emit({
+    return {
         "schema": 1,
         "trials": args.trials,
         "dim": args.dim,
@@ -245,24 +215,22 @@ def _cmd_t5_witness(args) -> int:
         "min_coordinate": float(values.min(initial=np.inf)),
         "max_coordinate": float(values.max(initial=-np.inf)),
         "ok": failures == 0,
-    }, args.output)
-    return 0 if failures == 0 else 1
+    }
 
 
-def _cmd_verify_paper(args) -> int:
+def _cmd_verify_paper(args) -> dict:
     reports = verify_paper(suite=args.suite, seed=args.seed, slow=args.slow)
-    failed = [r for r in reports if r.status == "fail"]
-    _emit({
+    failed = sum(r.status == "fail" for r in reports)
+    return {
         "schema": 1,
         "suite": args.suite,
         "seed": args.seed,
         "checks": [r.to_json() for r in reports],
         "passed": sum(r.status == "pass" for r in reports),
-        "failed": len(failed),
+        "failed": failed,
         "skipped": sum(r.status == "skip" for r in reports),
         "ok": not failed,
-    }, args.output)
-    return 0 if not failed else 1
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,78 +239,83 @@ def build_parser() -> argparse.ArgumentParser:
         description="Diameter graphs, exact hypergraph colorings, and "
                     "Euclidean Ramsey checks on finite point sets.")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output",
+                        help="write JSON here instead of stdout")
 
-    def out(p):
-        p.add_argument("-o", "--output", help="write JSON here instead of stdout")
+    def leaf(subparsers, name, help, **defaults):
+        """A command that writes one JSON document; `defaults` binds its
+        handler (`run`) or its construct family's builder (`build`)."""
+        p = subparsers.add_parser(name, help=help, parents=[output])
+        p.set_defaults(**defaults)
+        return p
 
     c = sub.add_parser("construct", help="generate a named point-set family")
+    c.set_defaults(run=_cmd_construct)
     fam = c.add_subparsers(dest="family", required=True)
-    p = fam.add_parser("kk", help="partition point set in dimension C(2n,2)")
+    p = leaf(fam, "kk", "partition point set in dimension C(2n,2)",
+             build=lambda a: kahn_kalai_set(a.n))
     p.add_argument("-n", type=int, required=True, help="even half-size of the ground set")
-    out(p)
-    p = fam.add_parser("kneser", help="characteristic vectors of n-subsets")
+    p = leaf(fam, "kneser", "characteristic vectors of n-subsets",
+             build=lambda a: kneser_points(a.n, a.k, a.r))
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    out(p)
-    p = fam.add_parser("simplex", help="regular simplex or one from side lengths")
+    p = leaf(fam, "simplex", "regular simplex or one from side lengths",
+             build=_simplex)
     p.add_argument("--vertices", type=int, default=3)
     p.add_argument("--side", type=float, default=1.0)
     p.add_argument("--sides", help="comma-separated side lengths (upper triangle)")
-    out(p)
-    p = fam.add_parser("polygon", help="regular n-gon")
+    p = leaf(fam, "polygon", "regular n-gon",
+             build=lambda a: regular_polygon(a.n, a.circumradius))
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--circumradius", type=float, default=1.0)
-    out(p)
-    p = fam.add_parser("brick", help="box vertices from side lengths")
+    p = leaf(fam, "brick", "box vertices from side lengths",
+             build=lambda a: brick(_lengths(a.lengths)))
     p.add_argument("--lengths", required=True, help="comma-separated lengths")
-    out(p)
-    p = fam.add_parser("t5", help="origin plus the six unit vectors")
-    out(p)
-    p = fam.add_parser("heptagon", help="regular heptagon host / triangle pattern")
+    leaf(fam, "t5", "origin plus the six unit vectors",
+         build=lambda a: cube_corner_set())
+    p = leaf(fam, "heptagon", "regular heptagon host / triangle pattern",
+             build=_heptagon)
     p.add_argument("--part", choices=("host", "pattern"), default="host")
     p.add_argument("--circumradius", type=float, default=1.0)
-    out(p)
 
-    p = sub.add_parser("diam", help="diameter and attaining pairs")
+    p = leaf(sub, "diam", "diameter and attaining pairs", run=_cmd_diam)
     p.add_argument("--input", required=True)
-    out(p)
 
-    p = sub.add_parser("hyper", help="r-uniform diameter hypergraph")
+    p = leaf(sub, "hyper", "r-uniform diameter hypergraph", run=_cmd_hyper)
     p.add_argument("--input", required=True)
     p.add_argument("-r", type=int, default=2)
-    out(p)
 
-    p = sub.add_parser("chrom", help="exact chromatic number or r-colorability")
+    p = leaf(sub, "chrom", "exact chromatic number or r-colorability",
+             run=_cmd_chrom)
     p.add_argument("--input", required=True)
     p.add_argument("--max-colors", type=int)
     p.add_argument("--slow", action="store_true",
                    help="allow exact search on large instances")
-    out(p)
 
-    p = sub.add_parser("arrow", help="decide host -> (pattern) with r colors")
+    p = leaf(sub, "arrow", "decide host -> (pattern) with r colors",
+             run=_cmd_arrow)
     p.add_argument("--host", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("-r", type=int, required=True)
-    out(p)
 
-    p = sub.add_parser("embed", help="simplex-product embedding witness")
+    p = leaf(sub, "embed", "simplex-product embedding witness", run=_cmd_embed)
     p.add_argument("--sides", required=True,
                    help="comma-separated side lengths (upper triangle)")
     p.add_argument("--no-normalize", action="store_true",
                    help="sides are already scaled to diameter 1")
-    out(p)
 
-    p = sub.add_parser("gadget", help="mod-8 residue coloring audit")
+    p = leaf(sub, "gadget", "mod-8 residue coloring audit", run=_cmd_gadget)
     p.add_argument("--K", type=float, default=2.0)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--legs", type=float, default=None,
                    help="override the audited isosceles legs (base stays 2)")
-    out(p)
 
-    p = sub.add_parser("degen", help="degeneracy evidence via extension search")
+    p = leaf(sub, "degen", "degeneracy evidence via extension search",
+             run=_cmd_degen)
     p.add_argument("--input", required=True)
     p.add_argument("-t", type=int, required=True, help="simplex dimension")
     p.add_argument("--anchor", type=int, default=None)
@@ -350,49 +323,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin", type=float, default=SUPPORT_MARGIN)
     p.add_argument("--ambient-dim", type=int, default=None)
-    out(p)
 
-    p = sub.add_parser("t5-witness", help="far-pair witnesses on random tetrahedra")
+    p = leaf(sub, "t5-witness", "far-pair witnesses on random tetrahedra",
+             run=_cmd_t5_witness)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=9)
-    out(p)
 
-    p = sub.add_parser("verify-paper", help="run the registered verification checks")
+    p = leaf(sub, "verify-paper", "run the registered verification checks",
+             run=_cmd_verify_paper)
     p.add_argument("--suite", choices=("fast", "full"), default="fast")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slow", action="store_true",
                    help="include checks with no runtime guarantee "
                         "(the large chromatic refutation can run for hours)")
-    out(p)
 
     return parser
-
-
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "diam": _cmd_diam,
-    "hyper": _cmd_hyper,
-    "chrom": _cmd_chrom,
-    "arrow": _cmd_arrow,
-    "embed": _cmd_embed,
-    "gadget": _cmd_gadget,
-    "degen": _cmd_degen,
-    "t5-witness": _cmd_t5_witness,
-    "verify-paper": _cmd_verify_paper,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        doc = args.run(args)
     # the library raises ValueError on bad input; `embed` reports its
     # EmbeddingConditionError as a result instead
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(doc, args.output)
+    # a document that carries a verdict exits 1 when the check failed
+    return 1 if doc.get("ok") is False else 0
 
 
 if __name__ == "__main__":

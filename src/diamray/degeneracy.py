@@ -437,10 +437,6 @@ def apex_angle_audit(trials: int = 100000, seed: int = 0) -> dict:
     batch of each stratum in turn. Samples that fail the float re-check of
     the hypothesis are dropped; `attempts` counts every configuration
     drawn. A violation is an angle above 150 + ANGLE_TOL_DEGREES.
-
-    This law replaced one that drew Gaussian triangles and a random q and
-    accepted about 4% of its draws; the verdict and fields are the same,
-    but `max_angle` now lands within a fraction of a degree of 150.
     """
     rng = np.random.default_rng(seed)
     accepted = attempts = violations = 0

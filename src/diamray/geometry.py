@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import acos, degrees, isfinite, prod, sqrt
+from math import acos, degrees, isfinite, isqrt, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -257,9 +257,14 @@ def sq_dist_matrix(P: PointSet) -> SqDistMatrix:
     else:
         A = P.as_array()
         A -= A.mean(axis=0)
-    norms = (A * A).sum(axis=1)
-    D = norms[:, None] + norms[None, :] - 2 * (A @ A.T)
+    # a float overflow is raised below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (A * A).sum(axis=1)
+        D = norms[:, None] + norms[None, :] - 2 * (A @ A.T)
     if not P.is_exact:
+        if not np.isfinite(D).all():
+            raise ValueError("squared distances overflow a float; "
+                             "use the exact lane or rescale the points")
         D = np.maximum(D, 0.0)
         D = (D + D.T) / 2.0
         np.fill_diagonal(D, 0.0)
@@ -283,6 +288,19 @@ class DiameterInfo:
     near_misses: tuple = ()
 
 
+def _float_root(sq) -> float:
+    """sqrt(sq) as a float, also for an exact sq past float range."""
+    try:
+        return sqrt(float(sq))
+    except OverflowError:
+        pass
+    try:
+        # sq >= 2**1024 here, so the integer root is exact far below an ulp
+        return float(isqrt(int(sq)))
+    except OverflowError:
+        raise ValueError("the diameter overflows a float") from None
+
+
 def diameter(P: PointSet) -> DiameterInfo:
     """Largest pairwise distance and the realizing pairs (0 for a singleton)."""
     if len(P) == 1:
@@ -297,7 +315,7 @@ def diameter(P: PointSet) -> DiameterInfo:
     upper = i < j
     i, j = i[upper], j[upper]
     hit = gap[i, j] <= eps * best
-    return DiameterInfo(sqrt(float(best)), best,
+    return DiameterInfo(_float_root(best), best,
                         tuple(zip(i[hit].tolist(), j[hit].tolist())),
                         tuple(zip(i[~hit].tolist(), j[~hit].tolist())))
 

@@ -151,3 +151,32 @@ def test_every_check_has_one_acceptance_test():
     assert sorted(CRITERIA) == ids, "a check without a row, or a row without a check"
     tested = sorted(fn.check_id for fn in globals().values() if hasattr(fn, "check_id"))
     assert tested == ids, "a row without a test, or a check tested twice"
+
+
+def test_check_times_sum_to_the_call(monkeypatch):
+    # a stall between two checks (here, while a report is built) is counted
+    # in the next check's runtime_ms, so the times still sum to the call
+    stall = 0.03
+
+    def quick(params, seed):
+        return True, {}
+
+    def broken(params, seed):
+        raise RuntimeError("reported, not raised")
+
+    checks = [("a", quick, False), ("b", broken, False), ("c", quick, False),
+              ("d", quick, True)]
+    real = verify.VerificationReport
+
+    def stalled(check_id, *rest):
+        if check_id != checks[-1][0]:
+            time.sleep(stall)
+        return real(check_id, *rest)
+
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    monkeypatch.setattr(verify, "VerificationReport", stalled)
+    t0 = time.perf_counter()
+    reports = verify.verify_paper("fast")
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    assert [r.status for r in reports] == ["pass", "fail", "pass", "skip"]
+    assert abs(wall_ms - sum(r.runtime_ms for r in reports)) < stall * 1000 / 2

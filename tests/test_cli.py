@@ -4,7 +4,21 @@ import json
 
 import pytest
 
-from diamray import Hypergraph, PointSet
+from diamray import (
+    Hypergraph,
+    PointSet,
+    brick,
+    cube_corner_set,
+    diameter_hypergraph,
+    heptagon_config,
+    isosceles_apex_triangle,
+    kahn_kalai_set,
+    kneser_points,
+    realize,
+    regular_polygon,
+    regular_simplex,
+    simplex_from_sides,
+)
 from diamray.cli import main
 
 
@@ -21,19 +35,66 @@ def test_construct_kk4(capsys):
     assert len(doc["points"]) == 35 and doc["dim"] == 28
 
 
-def test_construct_all_families(tmp_path, capsys):
-    for argv in (
-        ["construct", "kneser", "-n", "2", "--k", "2", "--r", "2"],
-        ["construct", "simplex", "--vertices", "4", "--side", "1.0"],
-        ["construct", "simplex", "--sides", "3,4,5"],
-        ["construct", "polygon", "-n", "9"],
-        ["construct", "brick", "--lengths", "1,2,3"],
-        ["construct", "t5"],
-        ["construct", "heptagon", "--part", "pattern"],
+def test_construct_all_families(capsys):
+    # each family prints its own library constructor's set
+    for argv, want in (
+        (["construct", "kk", "-n", "2"], kahn_kalai_set(2)),
+        (["construct", "kneser", "-n", "2", "--k", "2", "--r", "2"],
+         kneser_points(2, 2, 2)),
+        (["construct", "simplex", "--vertices", "4", "--side", "1.0"],
+         regular_simplex(4, 1.0)),
+        (["construct", "simplex", "--sides", "3,4,5"],
+         realize(simplex_from_sides([3, 4, 5]))),
+        (["construct", "polygon", "-n", "9"], regular_polygon(9, 1.0)),
+        (["construct", "brick", "--lengths", "1,2,3"], brick([1, 2, 3])),
+        (["construct", "t5"], cube_corner_set()),
+        (["construct", "heptagon"], heptagon_config()[0]),
+        (["construct", "heptagon", "--part", "pattern",
+          "--circumradius", "2"], heptagon_config(2.0)[1]),
     ):
         code, doc = _run(capsys, *argv)
         assert code == 0
+        assert doc == json.loads(json.dumps(want.to_json())), argv
         PointSet.from_json(doc)  # must parse back
+
+
+def test_output_flag_writes_the_stdout_document(tmp_path, capsys):
+    tri = tmp_path / "tri.json"
+    tri.write_text(json.dumps(isosceles_apex_triangle(160.0).to_json()))
+    pet = tmp_path / "pet.json"
+    pet.write_text(json.dumps(kneser_points(2, 2, 2).to_json()))
+    h2 = tmp_path / "h2.json"
+    h2.write_text(json.dumps(diameter_hypergraph(kneser_points(2, 2, 2), 2)
+                             .to_json()))
+    leaves = (
+        ["construct", "kk", "-n", "2"],
+        ["construct", "kneser", "-n", "2", "--k", "2", "--r", "2"],
+        ["construct", "simplex", "--vertices", "3"],
+        ["construct", "polygon", "-n", "5"],
+        ["construct", "brick", "--lengths", "1/2,3"],
+        ["construct", "t5"],
+        ["construct", "heptagon", "--part", "pattern"],
+        ["diam", "--input", str(pet)],
+        ["hyper", "--input", str(pet), "-r", "3"],
+        ["chrom", "--input", str(h2)],
+        ["arrow", "--host", str(pet), "--pattern", str(tri), "-r", "2"],
+        ["embed", "--sides", "1,0.6,0.6"],
+        ["gadget", "--trials", "500"],
+        ["degen", "--input", str(tri), "-t", "1", "--anchor", "0",
+         "--restarts", "1"],
+        ["t5-witness", "--trials", "10"],
+        ["verify-paper", "--suite", "fast"],
+    )
+    for k, argv in enumerate(leaves):
+        code, printed = _run(capsys, *argv)
+        path = tmp_path / f"out{k}.json"
+        assert main([*argv, "-o", str(path)]) == code, argv
+        assert capsys.readouterr().out == ""
+        written = json.loads(path.read_text())
+        for doc in (printed, written):  # the one field a rerun changes
+            for check in doc.get("checks", ()):
+                check["runtime_ms"] = None
+        assert written == printed, argv
 
 
 def test_pipeline_round_trip(tmp_path, capsys):
@@ -124,7 +185,6 @@ def test_gadget_cli(capsys):
 
 def test_degen_cli(tmp_path, capsys):
     tri = tmp_path / "tri.json"
-    from diamray import isosceles_apex_triangle
     tri.write_text(json.dumps(isosceles_apex_triangle(160.0).to_json()))
     code, doc = _run(capsys, "degen", "--input", str(tri), "-t", "1",
                      "--anchor", "0", "--restarts", "8", "--seed", "1")
@@ -137,7 +197,6 @@ def test_degen_cli(tmp_path, capsys):
 
 def test_degen_cli_reports_certificate(tmp_path, capsys):
     tri = tmp_path / "tri.json"
-    from diamray import isosceles_apex_triangle
     tri.write_text(json.dumps(isosceles_apex_triangle(160.0).to_json()))
     code, doc = _run(capsys, "degen", "--input", str(tri), "-t", "1",
                      "--anchor", "0", "--restarts", "1")
@@ -153,7 +212,6 @@ def test_degen_cli_reports_certificate(tmp_path, capsys):
 
 def test_degen_cli_reports_optimizer_counts(tmp_path, capsys):
     tri = tmp_path / "tri.json"
-    from diamray import isosceles_apex_triangle
     tri.write_text(json.dumps(isosceles_apex_triangle(160.0).to_json()))
     code, doc = _run(capsys, "degen", "--input", str(tri), "-t", "1",
                      "--anchor", "0", "--restarts", "2", "--seed", "1")
@@ -164,7 +222,6 @@ def test_degen_cli_reports_optimizer_counts(tmp_path, capsys):
 
 def test_degen_cli_rejects_zero_restarts(tmp_path, capsys):
     tri = tmp_path / "tri.json"
-    from diamray import isosceles_apex_triangle
     tri.write_text(json.dumps(isosceles_apex_triangle(160.0).to_json()))
     for extra in (["--anchor", "0"], []):
         code = main(["degen", "--input", str(tri), "-t", "1",
@@ -176,7 +233,6 @@ def test_degen_cli_rejects_zero_restarts(tmp_path, capsys):
 
 def test_degen_cli_rejects_bad_margin(tmp_path, capsys):
     tri = tmp_path / "tri.json"
-    from diamray import isosceles_apex_triangle
     tri.write_text(json.dumps(isosceles_apex_triangle(160.0).to_json()))
     for margin in ("nan", "inf", "-1"):
         code = main(["degen", "--input", str(tri), "-t", "1",
@@ -282,6 +338,41 @@ def test_diam_beyond_int64(tmp_path, capsys):
     assert doc["diameter_sq"] == 23058430092136939520
     assert type(doc["diameter_sq"]) is int
     assert doc["pairs"] == [[1, 2]]
+
+
+def test_float_overflow_exits_2(tmp_path, capsys):
+    # squared distances past float range printed "diameter": Infinity (not
+    # JSON) with no pairs, and found no copy of a triangle in itself
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps(
+        PointSet.from_floats([[1e200], [-1e200], [0.0]]).to_json()))
+    tri = tmp_path / "tri.json"
+    tri.write_text(json.dumps(
+        PointSet.from_floats([[0, 0], [1e200, 0], [0, 1e200]]).to_json()))
+    for argv in (["diam", "--input", str(line)],
+                 ["arrow", "--host", str(tri), "--pattern", str(tri),
+                  "-r", "2"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out, argv
+        assert "overflow a float" in captured.err, argv
+
+
+def test_exact_diameter_past_float_range(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(PointSet.exact([[0], [10 ** 200]]).to_json()))
+    code, doc = _run(capsys, "diam", "--input", str(path))
+    assert code == 0
+    assert doc["diameter"] == 1e200 and doc["diameter_sq"] == 10 ** 400
+    code, doc = _run(capsys, "hyper", "--input", str(path))
+    assert code == 0 and doc["edges"] == [[0, 1]]
+    # a root past float range is an input error, not a traceback
+    path.write_text(json.dumps(PointSet.exact([[0], [10 ** 400]]).to_json()))
+    for cmd in ("diam", "hyper"):
+        code = main([cmd, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "diameter overflows a float" in captured.err
 
 
 def test_hypergraph_json_coerces_integer_vertices(tmp_path, capsys):

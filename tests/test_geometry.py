@@ -342,6 +342,31 @@ def test_exact_diameter_coordinates_beyond_int64():
     assert diameter(near).sq == 25
 
 
+def test_exact_diameter_past_float_range():
+    # the square overflows a float; its integer root does not
+    info = diameter(PointSet.exact([[0], [10 ** 200]]))
+    assert info.value == 1e200 and info.sq == 10 ** 400
+    info = diameter(PointSet.exact([[0, 0], ["1/3", 10 ** 200]]))
+    assert info.value == 1e200 and info.sq == Fraction(1, 9) + 10 ** 400
+    with pytest.raises(ValueError, match="diameter overflows a float"):
+        diameter(PointSet.exact([[0], [10 ** 400]]))
+
+
+def test_float_squared_distance_overflow_raises():
+    # inf - inf made NaN entries: no diameter pair, no copy of a triangle
+    for pts in ([[1e200], [-1e200], [0.0]], [[0, 0], [1e200, 0], [0, 1e200]]):
+        P = PointSet.from_floats(pts)
+        with pytest.raises(ValueError, match="overflow a float"):
+            sq_dist_matrix(P)
+        with pytest.raises(ValueError, match="overflow a float"):
+            diameter(P)
+        with pytest.raises(ValueError, match="overflow a float"):
+            find_congruence(P, P)
+    # large but representable squares still work
+    P = PointSet.from_floats([[1e153, 0], [0, 1e153], [1e153, 1e153]])
+    assert diameter(P).pairs == ((0, 1),)
+
+
 def test_int64_path_matches_python_ints_near_the_bound():
     from diamray.geometry import _int64_gram_array
 
