@@ -54,8 +54,11 @@ class CliError(Exception):
 def _emit(doc: dict, path: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}") from exc
     else:
         print(text)
 
@@ -346,12 +349,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc = args.run(args)
+        _emit(doc, args.output)
     # the library raises ValueError on bad input; `embed` reports its
     # EmbeddingConditionError as a result instead
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args.output)
     # a document that carries a verdict exits 1 when the check failed
     return 1 if doc.get("ok") is False else 0
 

@@ -12,8 +12,14 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from operator import itemgetter, lt
 
+import numpy as np
+
 from .constructions import kahn_kalai_blocks, kahn_kalai_set
 from .geometry import PointSet, diameter
+
+# graphs with fewer pairs find cliques faster over bitsets than as array rows
+_ARRAY_PAIRS = 100
+_CHUNK = 1 << 13  # rows per numpy step
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,20 @@ class Hypergraph:
 
         The vertices of each edge are sorted and deduplicated, then the
         edges are sorted and deduplicated. A tuple of edges already in that
-        form is taken as it is.
+        form is taken as it is, and so is an int array of such rows.
         """
+        if isinstance(edges, np.ndarray):
+            if _canonical_rows(n_vertices, edges, uniformity):
+                # __post_init__ would repeat these checks; one int per vertex
+                ids, out = list(range(n_vertices)), []
+                for s in range(0, len(edges), _CHUNK):
+                    out.extend(zip(*[list(map(ids.__getitem__, col))
+                                     for col in edges[s:s + _CHUNK].T.tolist()]))
+                H = object.__new__(cls)
+                H.__dict__.update(n_vertices=n_vertices, edges=tuple(out),
+                                  uniformity=uniformity)
+                return H
+            edges = edges.tolist()
         edges = tuple(edges)
         if set(map(type, edges)) <= {tuple} and _lex_increasing(edges):
             # __post_init__ finishes the canonical test; input that fails
@@ -120,6 +138,20 @@ def _lex_increasing(edges) -> bool:
     return all(map(lt, edges, islice(edges, 1, None)))
 
 
+def _canonical_rows(n: int, rows: np.ndarray, uniformity: int | None) -> bool:
+    """True iff the non-empty int array rows would pass __post_init__."""
+    if (not rows.size or rows.ndim != 2 or rows.dtype.kind not in "iu"
+            or uniformity not in (None, rows.shape[1])):
+        return False
+    cols = rows.T
+    # lex order of neighbouring rows, from the last column; equal rows fail
+    less = cols[-1, :-1] < cols[-1, 1:]
+    for c in cols[-2::-1]:
+        less = (c[:-1] < c[1:]) | (c[:-1] == c[1:]) & less
+    return bool(cols[0].min() >= 0 and cols[-1].max() < n and less.all()
+                and all((a < b).all() for a, b in zip(cols, cols[1:])))
+
+
 def diameter_graph(P: PointSet) -> Hypergraph:
     """Graph joining exactly the pairs of points at distance diam(P)."""
     if len(P) < 2:
@@ -165,6 +197,31 @@ def _r_cliques(n: int, pair_edges, r: int) -> list:
     return out
 
 
+def _clique_rows(n: int, pair_edges, r: int) -> np.ndarray:
+    """The r-cliques of a graph as (m, r) uint rows in _r_cliques' order."""
+    later = np.zeros((n, n), dtype=bool)
+    i, j = np.array(pair_edges, dtype=np.intp).T
+    later[np.minimum(i, j), np.maximum(i, j)] = True
+    ids = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+    return np.concatenate([np.empty((0, r), ids.dtype), *_extend(ids, later, later, r)])
+
+
+def _extend(rows, cand, later, r: int):
+    """Yield, in lex order and in chunks, the r-cliques that extend rows;
+    cand[k] marks the common neighbours after the last vertex of rows[k]."""
+    need = r - rows.shape[1]
+    # a row with fewer candidates than the clique still needs closes none
+    keep = cand.sum(axis=1, dtype=np.int32) >= need
+    rows, cand = rows[keep], cand[keep]
+    # one flat scan is far faster than np.nonzero on 2-D bools
+    k, v = np.divmod(np.flatnonzero(cand), len(later))
+    for s in range(0, len(k), _CHUNK):
+        ks, vs = k[s:s + _CHUNK], v[s:s + _CHUNK]
+        grown = np.column_stack((rows[ks], vs.astype(rows.dtype)))
+        yield from (_extend(grown, cand[ks] & later[vs], later, r) if need > 1
+                    else [grown])
+
+
 def clique_hypergraph(G: Hypergraph, r: int) -> Hypergraph:
     """r-uniform hypergraph whose edges are the r-cliques of the graph G;
     G itself for r = 2."""
@@ -172,8 +229,8 @@ def clique_hypergraph(G: Hypergraph, r: int) -> Hypergraph:
         raise ValueError("uniformity r must be >= 2")
     if r == 2:
         return G
-    cliques = _r_cliques(G.n_vertices, G.edges, r)
-    return Hypergraph.make(G.n_vertices, cliques, uniformity=r)
+    find = _r_cliques if len(G.edges) < _ARRAY_PAIRS else _clique_rows
+    return Hypergraph.make(G.n_vertices, find(G.n_vertices, G.edges, r), uniformity=r)
 
 
 def diameter_hypergraph(P: PointSet, r: int) -> Hypergraph:

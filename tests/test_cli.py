@@ -97,6 +97,14 @@ def test_output_flag_writes_the_stdout_document(tmp_path, capsys):
         assert written == printed, argv
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert main(["construct", "t5", "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.startswith(f"error: cannot write {target}")
+    assert not target.parent.exists()
+
+
 def test_pipeline_round_trip(tmp_path, capsys):
     kneser = tmp_path / "kneser.json"
     code, _ = _run(capsys, "construct", "kneser", "-n", "2", "--k", "2",

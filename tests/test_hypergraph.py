@@ -1,5 +1,6 @@
 """Diameter graphs, r-clique hypergraphs, and the dual-route fact checks."""
 
+import os
 from itertools import combinations
 from math import comb
 
@@ -9,6 +10,7 @@ import pytest
 from diamray import (
     Hypergraph,
     PointSet,
+    clique_hypergraph,
     diameter,
     diameter_graph,
     diameter_hypergraph,
@@ -22,7 +24,7 @@ from diamray import (
     regular_simplex,
     verify_intersection_fact,
 )
-from diamray.hypergraph import _r_cliques
+from diamray.hypergraph import _ARRAY_PAIRS, _clique_rows, _r_cliques
 
 
 def test_heptagon_diameter_graph_is_seven_cycle():
@@ -134,6 +136,78 @@ def test_r_cliques_against_brute_force():
             assert got == want
 
 
+def _random_graph(rng, n, p, isolated=()):
+    return Hypergraph.make(n, [e for e in combinations(range(n), 2)
+                               if not set(e) & set(isolated) and rng.random() < p],
+                           uniformity=2)
+
+
+def test_array_cliques_match_bitset_and_brute_force():
+    rng = np.random.default_rng(29)
+    graphs = [_random_graph(rng, int(rng.integers(6, 21)), rng.uniform(0.3, 0.9))
+              for _ in range(24)]
+    # isolated vertices at both ends and inside, on each side of the crossover
+    graphs += [_random_graph(rng, 12, 0.7, isolated=(0, 5, 11)),
+               _random_graph(rng, 20, 0.8, isolated=(0, 7, 19))]
+    sizes = {len(G.edges) >= _ARRAY_PAIRS for G in graphs}
+    assert sizes == {False, True}
+    for G in graphs:
+        n, adj = G.n_vertices, set(G.edges)
+        for r in (3, 4, 5):
+            want = [c for c in combinations(range(n), r)
+                    if all(p in adj for p in combinations(c, 2))]
+            rows = _clique_rows(n, G.edges, r)
+            assert rows.shape == (len(want), r)
+            assert Hypergraph.make(n, rows, r).edges == tuple(want)
+            assert _r_cliques(n, G.edges, r) == want
+            assert clique_hypergraph(G, r).edges == tuple(want)
+
+
+def test_array_cliques_of_kneser_323():
+    G = diameter_graph(kneser_points(3, 2, 3))
+    assert len(G.edges) >= _ARRAY_PAIRS
+    for r, count in ((3, 15400), (4, 0)):
+        rows = _clique_rows(G.n_vertices, G.edges, r)
+        assert rows.shape == (count, r)
+        H = clique_hypergraph(G, r)
+        assert H.edges == tuple(_r_cliques(G.n_vertices, G.edges, r))
+        assert H.n_edges == count
+
+
+def _make_outcome(n, edges, r):
+    try:
+        return Hypergraph.make(n, edges, r)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_array_input_to_make_matches_the_tuple_path():
+    good = [(0, 3), (1, 4), (2, 4)]
+    cases = [
+        good,                        # canonical
+        good + [(4, 1)],             # unsorted row
+        good + [(1, 1)],             # repeated vertex
+        good + [(-1, 2)],            # negative vertex
+        good + [(2, 5)],             # vertex equal to n
+        good + [(1, 4)],             # duplicate row
+        good[::-1],                  # out-of-order rows
+    ]
+    # each fault is tried in the given order and in lex order
+    for edges in cases + [sorted(e) for e in cases]:
+        for dtype in (np.int32, np.int64, np.uint16):
+            if dtype is np.uint16 and any(v < 0 for e in edges for v in e):
+                continue
+            for r in (None, 2, 3):
+                got = _make_outcome(5, np.array(edges, dtype=dtype), r)
+                assert got == _make_outcome(5, edges, r)
+                if isinstance(got, Hypergraph):
+                    assert {type(v) for e in got.edges for v in e} == {int}
+    # empty arrays, and a negative vertex count with no edges
+    for n, r in ((4, 3), (-1, 2)):
+        assert (_make_outcome(n, np.empty((0, 2), dtype=np.int64), r)
+                == _make_outcome(n, [], r))
+
+
 def test_hypergraph_canonicalization_and_json():
     H = Hypergraph.make(5, [(3, 1), (1, 3), (4, 0, 2)])
     assert H.edges == ((0, 2, 4), (1, 3))
@@ -186,3 +260,14 @@ def test_diameter_hypergraph_argument_guards():
         diameter_hypergraph(P, 1)
     with pytest.raises(ValueError):
         diameter_graph(PointSet.exact([[0, 0]]))
+
+
+@pytest.mark.skipif(not os.environ.get("DIAMRAY_SLOW"),
+                    reason="about 2 s; set DIAMRAY_SLOW=1 to run")
+def test_kk6_h3_array_path_matches_bitset_slow():
+    G = diameter_graph(kahn_kalai_set(6))
+    assert len(G.edges) == 46200
+    H = clique_hypergraph(G, 3)
+    want = _r_cliques(G.n_vertices, G.edges, 3)
+    assert H.n_edges == len(want) == 1262800
+    assert list(H.edges) == want
