@@ -9,10 +9,8 @@ evidence.
 
 from .geometry import (
     DEFAULT_TOLERANCE,
-    CongruenceMap,
     DiameterInfo,
     PointSet,
-    SqDistMatrix,
     angle_at,
     cartesian_product,
     circumcenter,

@@ -23,10 +23,6 @@ class Coloring:
 
     colors: tuple
 
-    @property
-    def num_colors(self) -> int:
-        return max(self.colors) + 1 if self.colors else 0
-
 
 def is_proper(H: Hypergraph, coloring: Coloring) -> bool:
     """True iff every hyperedge sees at least two colors."""

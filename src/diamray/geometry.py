@@ -161,7 +161,7 @@ class PointSet:
         return self.mode == EXACT
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in p] for p in self.points], dtype=float)
+        return np.array(self.points, dtype=float)
 
     def select(self, indices) -> "PointSet":
         """Sub-point-set on the given indices, keeping mode and labels."""
@@ -209,17 +209,6 @@ def sq_dist(p, q, exact: bool) -> Scalar:
     return float(sum((float(a) - float(b)) ** 2 for a, b in zip(p, q)))
 
 
-@dataclass(frozen=True)
-class SqDistMatrix:
-    """Symmetric matrix of squared pairwise distances, a read-only ndarray:
-    int64, or Python ints and Fractions (object dtype) in the exact lane,
-    float64 in the float lane."""
-
-    entries: np.ndarray
-    exact: bool
-    tolerance: float = DEFAULT_TOLERANCE
-
-
 _INT64_MAX = 2 ** 63 - 1
 
 
@@ -245,11 +234,13 @@ def _int64_gram_array(points):
     return A
 
 
-def sq_dist_matrix(P: PointSet) -> SqDistMatrix:
+def sq_dist_matrix(P: PointSet) -> np.ndarray:
     """Squared-distance matrix of a point set from one Gram expansion
-    |a|^2 + |b|^2 - 2 a.b; exact when the mode is exact. Float points are
-    centred first, which keeps the expansion's cancellation error below the
-    distances when the set is small and far from the origin."""
+    |a|^2 + |b|^2 - 2 a.b, a read-only symmetric ndarray: int64, or Python
+    ints and Fractions (object dtype) in the exact lane, float64 in the
+    float lane. Float points are centred first, which keeps the expansion's
+    cancellation error below the distances when the set is small and far
+    from the origin."""
     if P.is_exact:
         A = _int64_gram_array(P.points)
         if A is None:
@@ -269,7 +260,7 @@ def sq_dist_matrix(P: PointSet) -> SqDistMatrix:
         D = (D + D.T) / 2.0
         np.fill_diagonal(D, 0.0)
     D.flags.writeable = False
-    return SqDistMatrix(D, P.is_exact, P.tolerance)
+    return D
 
 
 @dataclass(frozen=True)
@@ -305,7 +296,7 @@ def diameter(P: PointSet) -> DiameterInfo:
     """Largest pairwise distance and the realizing pairs (0 for a singleton)."""
     if len(P) == 1:
         return DiameterInfo(0.0, 0 if P.is_exact else 0.0, ())
-    D = sq_dist_matrix(P).entries
+    D = sq_dist_matrix(P)
     best = D.item(D.argmax())
     # best - x <= eps * best is the lane's rule for x and best, as x <= best;
     # the exact lane's eps = 0 makes it x == best
@@ -331,13 +322,6 @@ def cartesian_product(P: PointSet, Q: PointSet) -> PointSet:
     if mode == FLOAT:
         pts = [tuple(map(float, p)) for p in pts]
     return PointSet(tuple(pts), mode, None, max(P.tolerance, Q.tolerance))
-
-
-@dataclass(frozen=True)
-class CongruenceMap:
-    """Bijection pattern index -> host index preserving squared distances."""
-
-    mapping: tuple
 
 
 def _pattern_order(rows) -> list:
@@ -456,10 +440,12 @@ class _MapSearch(NamedTuple):
     reduced: bool
 
 
-def _distance_preserving_maps(MP: SqDistMatrix, MQ: SqDistMatrix,
+def _distance_preserving_maps(P: PointSet, Q: PointSet,
                               symmetric: bool = False) -> _MapSearch:
-    """Injective maps of a pattern into a host that keep all squared
+    """Injective maps of the pattern P into the host Q that keep all squared
     distances, as tuples m with m[p] the host point of pattern point p.
+    A float set on either side puts both in the float lane, at the larger
+    of the two tolerances.
 
     Pattern points are placed in `_pattern_order` by `_placements`. Without
     `symmetric`, every such map is enumerated. With it, the maps m and m o s
@@ -474,13 +460,13 @@ def _distance_preserving_maps(MP: SqDistMatrix, MQ: SqDistMatrix,
     does. Otherwise, when a host distance matches some but not all
     distances of one class, every map is enumerated and `reduced` is False.
     """
-    exact = MP.exact and MQ.exact
-    eps = 0 if exact else max(MP.tolerance, MQ.tolerance)
-    # a float set on either side puts both matrices in the float lane
+    exact = P.is_exact and Q.is_exact
+    eps = 0 if exact else max(P.tolerance, Q.tolerance)
     dtype = None if exact else float
-    rows = np.asarray(MP.entries, dtype).tolist()
-    near = _near_bitsets(np.asarray(MQ.entries, dtype),
-                         {x for r in rows for x in r}, eps)
+    # the host's matrix first: bench/tracing.py counts the first one's pairs
+    host = np.asarray(sq_dist_matrix(Q), dtype)
+    rows = np.asarray(sq_dist_matrix(P), dtype).tolist()
+    near = _near_bitsets(host, {x for r in rows for x in r}, eps)
     order = _pattern_order(rows)
     n = len(order)
     above = [()] * n
@@ -500,17 +486,16 @@ def _distance_preserving_maps(MP: SqDistMatrix, MQ: SqDistMatrix,
     return _MapSearch(maps, automorphisms, reduced)
 
 
-def find_congruence(P: PointSet, Q: PointSet) -> CongruenceMap | None:
-    """Search for a distance-preserving bijection from P onto Q.
+def find_congruence(P: PointSet, Q: PointSet) -> tuple | None:
+    """Search for a distance-preserving bijection from P onto Q, as the
+    tuple m with m[p] the point of Q that p goes to.
 
     Decides congruence intrinsically on squared-distance matrices, so the
     ambient dimensions may differ. Returns None when no bijection exists.
     """
     if len(P) != len(Q):
         raise ValueError("congruence needs equal cardinalities")
-    search = _distance_preserving_maps(sq_dist_matrix(P), sq_dist_matrix(Q))
-    mapping = next(search.maps, None)
-    return None if mapping is None else CongruenceMap(mapping)
+    return next(_distance_preserving_maps(P, Q).maps, None)
 
 
 def angle_at(apex, b, c) -> float:

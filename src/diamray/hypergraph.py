@@ -227,6 +227,10 @@ def clique_hypergraph(G: Hypergraph, r: int) -> Hypergraph:
     G itself for r = 2."""
     if r < 2:
         raise ValueError("uniformity r must be >= 2")
+    if G.uniformity != 2 and (G.uniformity is not None
+                              or any(len(e) != 2 for e in G.edges)):
+        raise ValueError("clique_hypergraph needs a graph: every edge "
+                         "must have 2 vertices")
     if r == 2:
         return G
     find = _r_cliques if len(G.edges) < _ARRAY_PAIRS else _clique_rows

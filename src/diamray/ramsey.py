@@ -31,15 +31,14 @@ from .geometry import (
     diameter,
     find_congruence,
     sq_dist,
-    sq_dist_matrix,
     _distance_preserving_maps,
     _same_distance,
 )
 from .hypergraph import Hypergraph
 
-REL_TOL = 1e-9  # float realizations against exact squared lengths
 BOUNDARY_TOL = 1e-12  # the mod-8 audit skips 2|x|^2 this close to an integer
 HOST_LIMIT = 64  # embedding witnesses materialize product hosts up to this size
+ARROW_EXACT_LIMIT = 12  # regular_simplex_arrow decides hosts up to this size
 _GADGET_BATCH = 16384  # midpoints drawn per batch of the mod-8 audit
 
 
@@ -78,9 +77,7 @@ def congruent_copies(R: PointSet, P: PointSet) -> CopyFamily:
     """
     if len(P) > len(R):
         raise ValueError("pattern larger than host")
-    # the host's matrix first: bench/tracing.py counts the first one's pairs
-    MR = sq_dist_matrix(R)
-    search = _distance_preserving_maps(sq_dist_matrix(P), MR, symmetric=True)
+    search = _distance_preserving_maps(P, R, symmetric=True)
     copies = tuple(sorted({tuple(sorted(m)) for m in search.maps}))
     return CopyFamily(R, P, copies, search.automorphisms, search.reduced)
 
@@ -107,13 +104,13 @@ def arrows(R: PointSet, P: PointSet, r: int) -> ArrowResult:
                        family.automorphisms)
 
 
-def regular_simplex_arrow(d: int, r: int, exact_limit: int = 12):
+def regular_simplex_arrow(d: int, r: int):
     """Host simplex forcing a monochromatic regular d-simplex with r colors.
 
     The host is the regular simplex with r*d+1 unit-side vertices:
     with r colors some class has at least d+1 vertices and spans a congruent
-    copy of the pattern. For hosts up to exact_limit vertices the arrow
-    relation is also decided exactly.
+    copy of the pattern. For hosts up to ARROW_EXACT_LIMIT vertices the
+    arrow relation is also decided exactly.
     """
     if d < 1 or r < 2:
         raise ValueError("need pattern dimension >= 1 and r >= 2")
@@ -129,7 +126,7 @@ def regular_simplex_arrow(d: int, r: int, exact_limit: int = 12):
         "exact_checked": False,
         "exact_arrows": None,
     }
-    if r * d + 1 <= exact_limit:
+    if r * d + 1 <= ARROW_EXACT_LIMIT:
         res = arrows(host, pattern, r)
         report["exact_checked"] = True
         report["exact_arrows"] = res.arrows
@@ -251,7 +248,7 @@ def _product_witness(side_sq, details) -> EmbeddingWitness:
     for i, j in pairs:
         measured = float(sq_dist(embedded.points[i], embedded.points[j], False))
         checks.append(PairCheck(i, j, side_sq[i][j], measured, _same_distance(
-            measured, float(side_sq[i][j]), REL_TOL)))
+            measured, float(side_sq[i][j]), embedded.tolerance)))
     return EmbeddingWitness(
         pattern=pattern, factors=tuple(factors), embedded=embedded,
         diam_sq=D, pair_checks=tuple(checks),

@@ -47,6 +47,7 @@ def test_construct_all_families(capsys):
          realize(simplex_from_sides([3, 4, 5]))),
         (["construct", "polygon", "-n", "9"], regular_polygon(9, 1.0)),
         (["construct", "brick", "--lengths", "1,2,3"], brick([1, 2, 3])),
+        (["construct", "brick", "--lengths", "1.5,2"], brick([1.5, 2.0])),
         (["construct", "t5"], cube_corner_set()),
         (["construct", "heptagon"], heptagon_config()[0]),
         (["construct", "heptagon", "--part", "pattern",
@@ -201,6 +202,11 @@ def test_degen_cli(tmp_path, capsys):
     code, doc = _run(capsys, "degen", "--input", str(tri), "-t", "1",
                      "--restarts", "5", "--seed", "1")
     assert code == 0 and doc["overall"] == "degenerate-evidence"
+    # an apex minimum past the refutation tolerance but short of the margin
+    code, doc = _run(capsys, "degen", "--input", str(tri), "-t", "1",
+                     "--margin", "0.5")
+    assert code == 0 and doc["overall"] == "inconclusive"
+    assert doc["anchors"][0]["verdict"] == "INCONCLUSIVE"
 
 
 def test_degen_cli_reports_certificate(tmp_path, capsys):

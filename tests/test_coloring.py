@@ -73,6 +73,18 @@ def test_no_edges_one_color():
     assert chromatic_number(H) == (1, Coloring((0, 0, 0, 0)))
 
 
+def test_empty_hypergraph_and_zero_colors():
+    empty = Hypergraph.make(0, [])
+    for k in (0, 1, 3):
+        assert colorable(empty, k) == Coloring(())
+    assert chromatic_number(empty) == (0, Coloring(()))
+    assert brute_force_chromatic(empty) == 0
+    assert colorable(Hypergraph.make(3, []), 0) is None
+    assert colorable(Hypergraph.make(3, [(0, 1)]), 0) is None
+    with pytest.raises(ValueError, match="nonnegative"):
+        colorable(empty, -1)
+
+
 def test_singleton_edge_rules():
     H = Hypergraph.make(2, [(0,)])
     assert colorable(H, 5) is None

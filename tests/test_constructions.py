@@ -24,6 +24,7 @@ from diamray import (
     regular_polygon,
     regular_simplex,
     simplex_from_sides,
+    segment,
     simplex_from_squared_sides,
     sq_dist,
     sq_dist_matrix,
@@ -36,7 +37,7 @@ def test_partition_set_n2():
     M = sq_dist_matrix(P)
     for i in range(3):
         for j in range(3):
-            assert M.entries[i][j] == (0 if i == j else 4)
+            assert M[i][j] == (0 if i == j else 4)
     assert all(sum(p) == 4 for p in P.points)
 
 
@@ -77,7 +78,7 @@ def test_kneser_small_cases():
     P = kneser_points(1, 2, 2)
     assert P.dim == 3 and len(P) == 3
     M = sq_dist_matrix(P)
-    assert all(M.entries[i][j] == 2 for i in range(3) for j in range(3) if i != j)
+    assert all(M[i][j] == 2 for i in range(3) for j in range(3) if i != j)
 
     P = kneser_points(3, 2, 3)
     assert P.dim == 11 and len(P) == comb(11, 3) == 165
@@ -123,7 +124,7 @@ def test_regular_simplex_basic():
         M = sq_dist_matrix(tet)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert isclose(M.entries[i][j], side * side, rel_tol=1e-9)
+                assert isclose(M[i][j], side * side, rel_tol=1e-9)
         assert tet.dim == 3
 
 
@@ -148,7 +149,7 @@ def test_regular_simplex_string_side_matches_fraction():
 def test_regular_polygon_chords():
     P = regular_polygon(5, 2.0)
     M = sq_dist_matrix(P)
-    assert isclose(M.entries[0][1], (2 * 2.0 * sin(pi / 5)) ** 2, rel_tol=1e-12)
+    assert isclose(M[0][1], (2 * 2.0 * sin(pi / 5)) ** 2, rel_tol=1e-12)
     with pytest.raises(ValueError):
         regular_polygon(2)
 
@@ -165,14 +166,25 @@ def test_brick_rational_lengths_exact():
     assert diameter(B).sq == Fraction(1, 4) + 9
 
 
+def test_float_segment_and_brick():
+    S = segment(1.5)
+    assert S.mode == "float" and S.points == ((0.0,), (1.5,))
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            segment(bad)
+    B = brick([1.5, 2.0])
+    assert B.mode == "float" and len(B) == 4
+    assert diameter(B).sq == 6.25
+
+
 def test_cube_corner_set_distances():
     P = cube_corner_set()
     assert len(P) == 7 and P.dim == 6
     M = sq_dist_matrix(P)
     for i in range(1, 7):
-        assert M.entries[0][i] == 1
+        assert M[0][i] == 1
         for j in range(i + 1, 7):
-            assert M.entries[i][j] == 2
+            assert M[i][j] == 2
     assert diameter(P).sq == 2
 
 
@@ -184,7 +196,7 @@ def test_heptagon_config_diameters_match():
     assert isclose(diameter(P).value, expected, rel_tol=1e-12)
     # pattern side lengths are the 1-, 2-, 3-step chords
     M = sq_dist_matrix(P)
-    chords = sorted((M.entries[0][1], M.entries[0][2], M.entries[1][2]))
+    chords = sorted((M[0][1], M[0][2], M[1][2]))
     want = sorted((2 * sin(k * pi / 7)) ** 2 for k in (1, 2, 3))
     for a, b in zip(chords, want):
         assert isclose(a, b, rel_tol=1e-12)
@@ -211,7 +223,7 @@ def test_realize_left_inverse_up_to_congruence():
         spec = simplex_from_sides(sides)
         pts = realize(spec)
         spec2 = simplex_from_squared_sides(
-            [[float(x) for x in row] for row in sq_dist_matrix(pts).entries])
+            [[float(x) for x in row] for row in sq_dist_matrix(pts)])
         assert find_congruence(pts, realize(spec2)) is not None
 
 
@@ -222,7 +234,7 @@ def test_realize_reproduces_sides():
     M = sq_dist_matrix(pts)
     for i in range(3):
         for j in range(3):
-            assert isclose(M.entries[i][j], float(spec.side_sq[i][j]),
+            assert isclose(M[i][j], float(spec.side_sq[i][j]),
                            rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -236,8 +248,8 @@ def test_exact_constructions_have_integer_squared_distances():
     for P in (kahn_kalai_set(2), kahn_kalai_set(4), kneser_points(2, 2, 2),
               cube_corner_set()):
         M = sq_dist_matrix(P)
-        assert M.exact
-        E = M.entries.tolist()
+        assert P.is_exact
+        E = M.tolist()
         assert all(isinstance(E[i][j], int)
                    for i in range(len(P)) for j in range(len(P)))
 

@@ -81,6 +81,19 @@ def test_degeneracy_evidence_verdicts():
     assert rep["overall"] == "refuted"
 
 
+def test_degeneracy_evidence_inconclusive_between_refute_and_margin():
+    # the apex anchor's certified minimum, about 1.04, clears the refutation
+    # tolerance but not diam + 0.5; the base anchors reach the diameter
+    tri160 = isosceles_apex_triangle(160.0)
+    rep = degeneracy_evidence(tri160, 1, margin=0.5)
+    apex = rep["anchors"][0]
+    assert apex["verdict"] == "INCONCLUSIVE" and apex["certified"]
+    assert 1.0 + rep["tolerance"] < apex["value"] < 1.0 + 0.5
+    assert apex["lower"] <= 1.0 + 0.5
+    assert [a["verdict"] for a in rep["anchors"][1:]] == ["REFUTED", "REFUTED"]
+    assert rep["margin"] == 0.5 and rep["overall"] == "inconclusive"
+
+
 def test_degeneracy_evidence_rejects_bad_margin():
     tri160 = isosceles_apex_triangle(160.0)
     for margin in (float("nan"), float("inf"), -1.0, -1e-12):

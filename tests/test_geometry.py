@@ -27,9 +27,10 @@ from diamray.geometry import _same_distance
 
 
 def test_unit_segment_matrix():
-    M = sq_dist_matrix(segment(1))
-    assert M.entries.tolist() == [[0, 1], [1, 0]]
-    assert M.exact
+    P = segment(1)
+    M = sq_dist_matrix(P)
+    assert M.tolist() == [[0, 1], [1, 0]]
+    assert P.is_exact
 
 
 def test_partition_set_n2_matrix_by_direct_enumeration():
@@ -51,7 +52,7 @@ def test_heptagon_chords_match_closed_form():
         for j in range(i + 1, 7):
             k = min((j - i) % 7, (i - j) % 7)
             expected = 4.0 * sin(k * pi / 7) ** 2
-            assert isclose(M.entries[i][j], expected, rel_tol=1e-12)
+            assert isclose(M[i][j], expected, rel_tol=1e-12)
 
 
 def test_diameter_single_point():
@@ -112,7 +113,7 @@ def test_congruence_under_permutation():
     MP, MQ = sq_dist_matrix(P), sq_dist_matrix(Q)
     for i in range(4):
         for j in range(4):
-            assert MP.entries[i][j] == MQ.entries[m.mapping[i]][m.mapping[j]]
+            assert MP[i][j] == MQ[m[i]][m[j]]
 
 
 def test_congruence_rejects_different_lengths():
@@ -156,7 +157,7 @@ def test_rigid_motion_invariance():
     M2 = sq_dist_matrix(moved)
     for i in range(7):
         for j in range(7):
-            a, b = M.entries[i][j], M2.entries[i][j]
+            a, b = M[i][j], M2[i][j]
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
     assert find_congruence(P, moved) is not None
 
@@ -293,7 +294,7 @@ def _congruent_by_brute_force(P, Q):
     MP, MQ = sq_dist_matrix(P), sq_dist_matrix(Q)
     n = len(P)
     for perm in permutations(range(n)):
-        if all(MP.entries[i][j] == MQ.entries[perm[i]][perm[j]]
+        if all(MP[i][j] == MQ[perm[i]][perm[j]]
                for i in range(n) for j in range(i + 1, n)):
             return True
     return False
@@ -378,7 +379,7 @@ def test_int64_path_matches_python_ints_near_the_bound():
             assert (_int64_gram_array(pts) is not None) == (fast and shift < 2 ** 63)
             want = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts]
                     for p in pts]
-            got = sq_dist_matrix(PointSet.exact(pts)).entries
+            got = sq_dist_matrix(PointSet.exact(pts))
             assert [list(r) for r in got] == want
 
 
@@ -393,14 +394,14 @@ def test_sq_dist_matrix_storage():
         P = (PointSet.from_floats(pts) if isinstance(pts[0][0], float)
              else PointSet.exact(pts))
         M = sq_dist_matrix(P)
-        assert M.entries.dtype == dtype and not M.entries.flags.writeable
-        assert M.entries.tolist() == [[0, far], [far, 0]]
-        assert type(M.entries.tolist()[0][1]) is kind
+        assert M.dtype == dtype and not M.flags.writeable
+        assert M.tolist() == [[0, far], [far, 0]]
+        assert type(M.tolist()[0][1]) is kind
         info = diameter(P)
         assert info.sq == far and type(info.sq) is kind
         assert info.pairs == ((0, 1),) and type(info.pairs[0][0]) is int
         with pytest.raises(ValueError):
-            M.entries[0, 1] = 1
+            M[0, 1] = 1
 
 
 # points of {0..w}^dim; the narrow boxes give sets with several diameter pairs
@@ -423,7 +424,7 @@ def test_float_diameter_pairs_match_exact_lane(points, log_scale, seed):
     P = PointSet.from_floats(
         (A @ random_orthogonal(dim, rng).T + rng.standard_normal(dim)) * scale)
     info = diameter(P)
-    M = sq_dist_matrix(P).entries
+    M = sq_dist_matrix(P)
     best = max(map(max, M))
     matched = tuple((i, j) for i, j in combinations(range(len(P)), 2)
                     if _same_distance(M[i][j], best, P.tolerance))

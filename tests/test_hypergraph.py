@@ -163,6 +163,21 @@ def test_array_cliques_match_bitset_and_brute_force():
             assert clique_hypergraph(G, r).edges == tuple(want)
 
 
+def test_clique_hypergraph_needs_a_graph():
+    small = Hypergraph.make(5, [(0, 1, 2), (1, 2, 3)], 3)
+    large = Hypergraph.make(10, list(combinations(range(10), 3)))
+    assert large.n_edges >= _ARRAY_PAIRS > small.n_edges
+    mixed = Hypergraph.make(4, [(0, 1), (1, 2, 3)])
+    edgeless = Hypergraph.make(4, [], 3)
+    for H in (small, large, mixed, edgeless):
+        for r in (2, 3, 4):
+            with pytest.raises(ValueError, match="2 vertices"):
+                clique_hypergraph(H, r)
+    # a graph given without its uniformity is still a graph
+    G = Hypergraph.make(4, list(combinations(range(4), 2)))
+    assert clique_hypergraph(G, 3).edges == tuple(combinations(range(4), 3))
+
+
 def test_array_cliques_of_kneser_323():
     G = diameter_graph(kneser_points(3, 2, 3))
     assert len(G.edges) >= _ARRAY_PAIRS

@@ -34,7 +34,7 @@ from diamray import (
     EmbeddingConditionError,
 )
 from diamray.geometry import _distance_preserving_maps
-from diamray.ramsey import BOUNDARY_TOL, REL_TOL, _gadget_placements
+from diamray.ramsey import BOUNDARY_TOL, _gadget_placements
 
 
 def _heptagon_copy_census():
@@ -115,7 +115,7 @@ def test_simplex_arrow_witnesses():
     assert len(host) == 7 and rep["pigeonhole_class_size"] == 3
     assert rep["exact_arrows"]
 
-    host, rep = regular_simplex_arrow(4, 3, exact_limit=12)
+    host, rep = regular_simplex_arrow(4, 3)
     assert len(host) == 13 and not rep["exact_checked"]
 
 
@@ -252,9 +252,9 @@ def test_every_factor_is_a_regular_simplex():
         witnesses.append(near_regular_simplex_embedding(simplex_from_sides(sides)))
     for w in witnesses:
         for f in w.factors:
-            M = sq_dist_matrix(f).entries
+            M = sq_dist_matrix(f)
             sq = [float(M[i][j]) for i, j in combinations(range(len(f)), 2)]
-            assert all(abs(x - sq[0]) <= REL_TOL * sq[0] for x in sq), sq
+            assert all(abs(x - sq[0]) <= f.tolerance * sq[0] for x in sq), sq
 
 
 def test_acute_triangles_are_the_three_vertex_near_regular_case():
@@ -411,7 +411,7 @@ def test_copies_match_brute_force_subsets():
         direct = set()
         for sub in combinations(range(len(R)), k):
             for perm in permutations(sub):
-                if all(MP.entries[a][b] == MR.entries[perm[a]][perm[b]]
+                if all(MP[a][b] == MR[perm[a]][perm[b]]
                        for a in range(k) for b in range(a + 1, k)):
                     direct.add(sub)
                     break
@@ -421,7 +421,7 @@ def test_copies_match_brute_force_subsets():
 
 def _unreduced(R, P):
     """Every distance-preserving map of P into R, none skipped by symmetry."""
-    return list(_distance_preserving_maps(sq_dist_matrix(P), sq_dist_matrix(R)).maps)
+    return list(_distance_preserving_maps(P, R).maps)
 
 
 def _copies_of(maps):
@@ -449,8 +449,7 @@ def test_orbit_stabiliser_counts():
 
 def test_simplex_arrow_search_finds_each_copy_once():
     host, pattern = regular_simplex(11, 1.0), regular_simplex(6, 1.0)
-    search = _distance_preserving_maps(sq_dist_matrix(pattern), sq_dist_matrix(host),
-                                       symmetric=True)
+    search = _distance_preserving_maps(pattern, host, symmetric=True)
     assert (search.automorphisms, search.reduced) == (720, True)
     maps = list(search.maps)
     assert len(maps) == 462 == len(set(map(frozenset, maps)))
