@@ -34,7 +34,7 @@ from .degeneracy import (
     min_extension_diameter,
     star_witness_values,
 )
-from .geometry import PointSet, diameter
+from .geometry import PointSet, _scalar_to_json, diameter
 from .hypergraph import Hypergraph, diameter_hypergraph
 from .ramsey import (
     EmbeddingConditionError,
@@ -119,7 +119,7 @@ def _cmd_diam(args) -> dict:
     return {
         "schema": 1,
         "diameter": info.value,
-        "diameter_sq": info.sq if isinstance(info.sq, (int, float)) else str(info.sq),
+        "diameter_sq": _scalar_to_json(info.sq),
         "pairs": [list(p) for p in info.pairs],
         "near_misses": [list(p) for p in info.near_misses],
     }

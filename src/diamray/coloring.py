@@ -15,6 +15,8 @@ from .geometry import PointSet
 from .hypergraph import Hypergraph, clique_hypergraph, diameter_graph
 
 CHAIN_GUARD = 40  # chain_report refuses larger sets: chi is found exactly
+CHAIN_ORDERS = (2, 3, 4)  # chain_report audits H_2 to H_4
+BRUTE_FORCE_COLORS = 4  # brute_force_chromatic gives up past 4 colors
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,10 @@ def colorable(H: Hypergraph, num_colors: int) -> Coloring | None:
         return Coloring(())
     if num_colors == 0:
         return None
+    # the search never opens a color index >= n, and the dead-vertex rule
+    # cannot fire while num_colors >= n (it needs every color in use), so
+    # the cap keeps the witness and keeps `others`, k^2 entries, small
+    num_colors = min(num_colors, n)
     if any(len(e) == 1 for e in H.edges):
         return None
 
@@ -153,7 +159,7 @@ def chromatic_number(H: Hypergraph, use_clique_bound: bool = True):
     raise AssertionError("unreachable: all-distinct coloring is always proper")
 
 
-def _canonical_colorings(n: int, max_colors: int):
+def _canonical_colorings(n: int, num_colors: int):
     # restricted-growth strings: each new color index appears only after all
     # smaller ones; exhaustive up to color renaming
     cur = [0] * n
@@ -162,7 +168,7 @@ def _canonical_colorings(n: int, max_colors: int):
         if i == n:
             yield tuple(cur)
             return
-        cap = min(used, max_colors - 1)
+        cap = min(used, num_colors - 1)
         for c in range(cap + 1):
             cur[i] = c
             yield from rec(i + 1, max(used, c + 1))
@@ -170,18 +176,18 @@ def _canonical_colorings(n: int, max_colors: int):
     yield from rec(0, 0)
 
 
-def brute_force_chromatic(H: Hypergraph, max_colors: int = 4) -> int | None:
+def brute_force_chromatic(H: Hypergraph) -> int | None:
     """Reference chromatic number by exhaustive enumeration.
 
-    Filters every canonical coloring with at most max_colors colors through
-    is_proper, smallest color count first. Properness is invariant under
-    color renaming, so canonical-form enumeration decides exactly. Returns
-    None when max_colors colors do not suffice. Exponential; use as a
-    cross-check on small instances only.
+    Filters every canonical coloring with at most BRUTE_FORCE_COLORS colors
+    through is_proper, smallest color count first. Properness is invariant
+    under color renaming, so canonical-form enumeration decides exactly.
+    Returns None when BRUTE_FORCE_COLORS colors do not suffice. Exponential;
+    use as a cross-check on small instances only.
     """
     if H.n_vertices == 0:
         return 0
-    for k in range(1, max_colors + 1):
+    for k in range(1, BRUTE_FORCE_COLORS + 1):
         for colors in _canonical_colorings(H.n_vertices, k):
             if is_proper(H, Coloring(colors)):
                 return k
@@ -195,8 +201,8 @@ def grouped_coloring(base: Coloring, r: int) -> Coloring:
     return Coloring(tuple(c // (r - 1) for c in base.colors))
 
 
-def chain_report(P: PointSet, r_max: int = 4) -> dict:
-    """Audit the chromatic chain of the diameter hypergraphs of P.
+def chain_report(P: PointSet) -> dict:
+    """Audit the chromatic chain of the diameter hypergraphs H_2 to H_4 of P.
 
     Verifies chi(H_r) <= chi(H_{r-1}), the ratio bound
     chi(H_r) <= ceil(chi(H_2)/(r-1)), and that merging r-1 classes of an
@@ -205,20 +211,18 @@ def chain_report(P: PointSet, r_max: int = 4) -> dict:
     if len(P) > CHAIN_GUARD:
         raise ValueError(
             f"instance too large for exact audit (> {CHAIN_GUARD} points)")
-    if r_max < 2:
-        raise ValueError("need r_max >= 2")
     chis = {}
     witnesses = {}
     hypergraphs = {}
     G = diameter_graph(P)
-    for r in range(2, r_max + 1):
+    for r in CHAIN_ORDERS:
         hypergraphs[r] = clique_hypergraph(G, r)
         chis[r], witnesses[r] = chromatic_number(hypergraphs[r])
-    chain_ok = all(chis[r] <= chis[r - 1] for r in range(3, r_max + 1))
-    ratio_ok = all(chis[r] <= ceil(chis[2] / (r - 1)) for r in range(2, r_max + 1))
+    chain_ok = all(chis[r] <= chis[r - 1] for r in CHAIN_ORDERS[1:])
+    ratio_ok = all(chis[r] <= ceil(chis[2] / (r - 1)) for r in CHAIN_ORDERS)
     grouped_ok = all(
         is_proper(hypergraphs[r], grouped_coloring(witnesses[2], r))
-        for r in range(2, r_max + 1)
+        for r in CHAIN_ORDERS
     )
     return {
         "points": len(P),

@@ -133,15 +133,15 @@ def heptagon_config(circumradius: float = 1.0):
     return host, pattern
 
 
-def isosceles_apex_triangle(apex_degrees: float, base: float = 1.0) -> PointSet:
-    """Isosceles triangle with given apex angle, apex first, base as stated.
+def isosceles_apex_triangle(apex_degrees: float) -> PointSet:
+    """Isosceles triangle with given apex angle and unit base, apex first.
 
     The base is the longest side whenever the apex angle exceeds 60 degrees.
     """
     if not 0 < apex_degrees < 180:
         raise ValueError("apex angle must lie strictly between 0 and 180")
     half = radians(apex_degrees) / 2.0
-    leg = base / (2.0 * sin(half))
+    leg = 0.5 / sin(half)
     p2 = (leg * cos(half), leg * sin(half))
     p3 = (leg * cos(half), -leg * sin(half))
     return PointSet.from_floats([(0.0, 0.0), p2, p3])

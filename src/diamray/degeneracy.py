@@ -41,6 +41,7 @@ from .constructions import regular_simplex
 from .geometry import PointSet, _frame, diameter, random_orthogonal
 
 DEFAULT_RESTARTS = 50
+STAR_DIM = 9  # the star in R^6 and its 3-point extensions: R^6 + 3
 SUPPORT_MARGIN = 1e-4
 REFUTE_TOLERANCE = 1e-6
 ANGLE_DIMS = (2, 3, 4, 5)
@@ -483,7 +484,8 @@ def _padded_star(dim: int) -> np.ndarray:
     return padded
 
 
-def random_star_tetrahedron(rng: np.random.Generator, dim: int = 9) -> np.ndarray:
+def random_star_tetrahedron(rng: np.random.Generator,
+                            dim: int = STAR_DIM) -> np.ndarray:
     """Random regular tetrahedron of side sqrt(2) with one vertex at 0.
 
     Returns the three nonzero vertices as rows, each of norm sqrt(2),
@@ -523,7 +525,8 @@ def far_pair_witness(tetra_points):
     return i, j, float(first6[i, j])
 
 
-def star_witness_values(trials: int, seed: int, dim: int = 9) -> np.ndarray:
+def star_witness_values(trials: int, seed: int,
+                        dim: int = STAR_DIM) -> np.ndarray:
     """far_pair_witness's value for each of `trials` random star tetrahedra.
 
     Draws, in chunks, exactly the tetrahedra that `trials` successive calls
@@ -546,7 +549,7 @@ def star_witness_values(trials: int, seed: int, dim: int = 9) -> np.ndarray:
     return out
 
 
-def _adversary_minimax(dim: int) -> tuple:
+def _adversary_minimax() -> tuple:
     """The adversary's affine form, and the map from a frame Q to the three
     nonzero tetrahedron vertices F_i Q^T.
 
@@ -559,14 +562,13 @@ def _adversary_minimax(dim: int) -> tuple:
     def tetrahedron(Q):
         return F @ Q.T
 
-    G = np.eye(6, dim)[None, :, :, None] * F[:, None, None, :]
-    return _FrameMinimax(np.zeros(18), G.reshape(18, dim, 3), 2.0,
+    G = np.eye(6, STAR_DIM)[None, :, :, None] * F[:, None, None, :]
+    return _FrameMinimax(np.zeros(18), G.reshape(18, STAR_DIM, 3), 2.0,
                          lambda Q: -float(tetrahedron(Q)[:, :6].min()),
                          lambda v: v), tetrahedron
 
 
-def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-                       dim: int = 9) -> dict:
+def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> dict:
     """Adversarial search maximizing the smallest of the first six coordinates.
 
     Over all regular side-sqrt(2) tetrahedra anchored at the origin, tries
@@ -576,13 +578,11 @@ def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     appending such a tetrahedron to the cube-corner star always stretches
     some distance past sqrt(2).
     """
-    if dim < 6:
-        raise ValueError("need ambient dimension >= 6")
-    problem, tetrahedron = _adversary_minimax(dim)
+    problem, tetrahedron = _adversary_minimax()
     Q, value, lower, values, evaluations, gradients = _minimize(
         problem, restarts, np.random.default_rng(seed))
     return {
-        "dim": dim,
+        "dim": STAR_DIM,
         "restarts": restarts,
         "best_max_min": -value,
         "restart_values": tuple(-v for v in values),

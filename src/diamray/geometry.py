@@ -28,11 +28,9 @@ frozen; every operation is a pure function.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import acos, degrees, isfinite, isqrt, prod, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +72,24 @@ def _scalar_to_json(x: Scalar):
     return x
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON: an int, or a float with an integral value."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def _json_float(value, what: str) -> float:
+    """A float read from JSON: an int or a float, not a boolean or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} overflows a float") from None
+
+
 @dataclass(frozen=True)
 class PointSet:
     """A labeled finite set of points sharing one ambient dimension.
@@ -99,7 +115,8 @@ class PointSet:
             raise ValueError("all points must share one dimension")
         if self.labels is not None and len(self.labels) != len(self.points):
             raise ValueError("labels must match point count")
-        if not (isinstance(self.tolerance, (int, float))
+        if isinstance(self.tolerance, bool) or not (
+                isinstance(self.tolerance, (int, float))
                 and isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be a finite number >= 0, "
                              f"got {self.tolerance!r}")
@@ -194,10 +211,11 @@ class PointSet:
         if mode == EXACT:
             ps = cls.exact(raw, labels)
         elif mode == FLOAT:
-            ps = cls.from_floats(raw, labels, doc.get("tolerance", DEFAULT_TOLERANCE))
+            pts = [[_json_float(x, "float coordinate") for x in p] for p in raw]
+            ps = cls.from_floats(pts, labels, doc.get("tolerance", DEFAULT_TOLERANCE))
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        if "dim" in doc and doc["dim"] != ps.dim:
+        if "dim" in doc and _json_int(doc["dim"], "dim") != ps.dim:
             raise ValueError("declared dim does not match points")
         return ps
 
@@ -428,24 +446,14 @@ def _orbit_chain(labels, order) -> list:
     return orbits
 
 
-class _MapSearch(NamedTuple):
-    """The maps of a pattern into a host, lazily, and how they were found.
-
-    automorphisms is |Aut(P)| when the search was asked to reduce by the
-    pattern's symmetry (None otherwise); reduced says whether it did.
-    """
-
-    maps: Iterator[tuple]
-    automorphisms: int | None
-    reduced: bool
-
-
 def _distance_preserving_maps(P: PointSet, Q: PointSet,
-                              symmetric: bool = False) -> _MapSearch:
-    """Injective maps of the pattern P into the host Q that keep all squared
-    distances, as tuples m with m[p] the host point of pattern point p.
-    A float set on either side puts both in the float lane, at the larger
-    of the two tolerances.
+                              symmetric: bool = False) -> tuple:
+    """(maps, automorphisms, reduced): the injective maps of the pattern P
+    into the host Q that keep all squared distances, lazily, as tuples m
+    with m[p] the host point of pattern point p; |Aut(P)| when `symmetric`
+    (None otherwise); and whether the search reduced by Aut(P). A float set
+    on either side puts both in the float lane, at the larger of the two
+    tolerances.
 
     Pattern points are placed in `_pattern_order` by `_placements`. Without
     `symmetric`, every such map is enumerated. With it, the maps m and m o s
@@ -483,7 +491,7 @@ def _distance_preserving_maps(P: PointSet, Q: PointSet,
     depth_of = sorted(range(n), key=order.__getitem__)
     placed = _placements(_links(rows, order), near, above)
     maps = (tuple(map(image.__getitem__, depth_of)) for image in placed)
-    return _MapSearch(maps, automorphisms, reduced)
+    return maps, automorphisms, reduced
 
 
 def find_congruence(P: PointSet, Q: PointSet) -> tuple | None:
@@ -495,7 +503,7 @@ def find_congruence(P: PointSet, Q: PointSet) -> tuple | None:
     """
     if len(P) != len(Q):
         raise ValueError("congruence needs equal cardinalities")
-    return next(_distance_preserving_maps(P, Q).maps, None)
+    return next(_distance_preserving_maps(P, Q)[0], None)
 
 
 def angle_at(apex, b, c) -> float:

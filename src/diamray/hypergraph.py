@@ -15,7 +15,7 @@ from operator import itemgetter, lt
 import numpy as np
 
 from .constructions import kahn_kalai_blocks, kahn_kalai_set
-from .geometry import PointSet, diameter
+from .geometry import PointSet, _json_int, diameter
 
 # graphs with fewer pairs find cliques faster over bitsets than as array rows
 _ARRAY_PAIRS = 100
@@ -109,14 +109,6 @@ class Hypergraph:
             raise ValueError(f"malformed hypergraph document: {exc}") from exc
         r = doc.get("r")
         return cls.make(n, edges, None if r is None else _json_int(r, "uniformity"))
-
-
-def _json_int(value, what: str) -> int:
-    """An integer read from JSON: an int, or a float with an integral value."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return int(value)
 
 
 def _strictly_sorted(edges, lengths) -> bool:

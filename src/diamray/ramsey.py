@@ -77,9 +77,9 @@ def congruent_copies(R: PointSet, P: PointSet) -> CopyFamily:
     """
     if len(P) > len(R):
         raise ValueError("pattern larger than host")
-    search = _distance_preserving_maps(P, R, symmetric=True)
-    copies = tuple(sorted({tuple(sorted(m)) for m in search.maps}))
-    return CopyFamily(R, P, copies, search.automorphisms, search.reduced)
+    maps, automorphisms, reduced = _distance_preserving_maps(P, R, symmetric=True)
+    copies = tuple(sorted({tuple(sorted(m)) for m in maps}))
+    return CopyFamily(R, P, copies, automorphisms, reduced)
 
 
 @dataclass(frozen=True)

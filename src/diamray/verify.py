@@ -22,6 +22,7 @@ from math import cos, radians, sin, sqrt
 import numpy as np
 
 from .coloring import (
+    BRUTE_FORCE_COLORS,
     brute_force_chromatic,
     chain_report,
     chromatic_number,
@@ -238,10 +239,9 @@ def check_heptagon_fano(params: dict, seed: int):
 
 
 def check_chromatic_chain(params: dict, seed: int):
-    reports = [chain_report(s, r_max=4)
+    reports = [chain_report(s)
                for s in _chain_instances(params["chain_sets"], seed)]
-    simplex = regular_simplex(6, 1.0)
-    srep = chain_report(simplex, r_max=4)
+    srep = chain_report(regular_simplex(6, 1.0))
     ok = all(r["ok"] for r in reports) and srep["ok"] \
         and srep["chi"][2] == 6 and srep["chi"][3] == 3
     return ok, {
@@ -450,10 +450,10 @@ def check_solver_oracle(params: dict, seed: int):
     mismatches = []
     count = 0
     for name, H in _oracle_hypergraphs(params, seed):
-        ref = brute_force_chromatic(H, max_colors=4)
+        ref = brute_force_chromatic(H)
         chi, witness = chromatic_number(H)
         chi_no_bound, _ = chromatic_number(H, use_clique_bound=False)
-        agree = (chi == ref) if ref is not None else (chi > 4)
+        agree = chi == ref if ref is not None else chi > BRUTE_FORCE_COLORS
         if not agree or chi != chi_no_bound:
             mismatches.append({"instance": name, "solver": chi,
                                "brute_force": ref, "no_bound": chi_no_bound})

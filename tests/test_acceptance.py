@@ -180,3 +180,8 @@ def test_check_times_sum_to_the_call(monkeypatch):
     wall_ms = (time.perf_counter() - t0) * 1000.0
     assert [r.status for r in reports] == ["pass", "fail", "pass", "skip"]
     assert abs(wall_ms - sum(r.runtime_ms for r in reports)) < stall * 1000 / 2
+
+
+def test_verify_paper_knows_two_suites():
+    with pytest.raises(ValueError, match="'fast' or 'full'"):
+        verify.verify_paper("medium")

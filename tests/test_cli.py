@@ -43,6 +43,7 @@ def test_construct_all_families(capsys):
          kneser_points(2, 2, 2)),
         (["construct", "simplex", "--vertices", "4", "--side", "1.0"],
          regular_simplex(4, 1.0)),
+        (["construct", "simplex", "--vertices", "1"], regular_simplex(1)),
         (["construct", "simplex", "--sides", "3,4,5"],
          realize(simplex_from_sides([3, 4, 5]))),
         (["construct", "polygon", "-n", "9"], regular_polygon(9, 1.0)),
@@ -320,6 +321,7 @@ def test_malformed_values_exit_2(tmp_path, capsys):
             (["construct", "brick", "--lengths", "1/0,2"], "1/0"),
             (["construct", "simplex", "--sides", "1,1,1/0"], "1/0"),
             (["construct", "simplex", "--sides", "inf,1,1"], "inf"),
+            (["construct", "simplex", "--sides", ","], "comma-separated"),
             # squares too large for a float
             (["construct", "simplex", "--vertices", "3", "--side", "1e200"],
              "side 1e+200"),
@@ -339,6 +341,42 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and not captured.out and word in captured.err, argv
+
+
+_HUGE = 10 ** 400  # an int past float range
+
+
+@pytest.mark.parametrize("doc, word", [
+    ({"mode": "float", "points": [[True], [0]]}, "True"),
+    ({"mode": "float", "points": [["1.5"], [0]]}, "'1.5'"),
+    # not read as tolerance 1, which called the two points coincident
+    ({"mode": "float", "points": [[1], [0]], "tolerance": True},
+     "tolerance must be"),
+    ({"mode": "float", "points": [[1], [0]], "dim": True}, "dim"),
+    ({"mode": "exact", "points": [[1], [0]], "dim": True}, "dim"),
+    ({"mode": "float", "points": [[_HUGE], [0]]}, "overflows"),
+])
+def test_float_documents_take_only_numbers(tmp_path, capsys, doc, word):
+    # booleans and numeric strings used to pass as coordinates (True as 1)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(doc))
+    code = main(["diam", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out and word in captured.err
+    with pytest.raises(ValueError):
+        PointSet.from_json(doc)
+
+
+def test_diam_writes_integral_squared_diameter_as_int(tmp_path, capsys):
+    # the JSON type of diameter_sq follows its value, not the coordinates'
+    path = tmp_path / "points.json"
+    for points, want in (([["1/2"], ["3/2"]], 1), ([[0], [1]], 1),
+                         ([[0], ["1/2"]], "1/4")):
+        path.write_text(json.dumps({"mode": "exact", "points": points}))
+        code, doc = _run(capsys, "diam", "--input", str(path))
+        assert code == 0
+        assert doc["diameter_sq"] == want
+        assert type(doc["diameter_sq"]) is type(want)
 
 
 def test_diam_beyond_int64(tmp_path, capsys):

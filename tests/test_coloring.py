@@ -1,5 +1,6 @@
 """Exact coloring solver: decisions, witnesses, chain inequalities, oracle."""
 
+import tracemalloc
 from itertools import combinations
 from math import ceil
 
@@ -85,6 +86,19 @@ def test_empty_hypergraph_and_zero_colors():
         colorable(empty, -1)
 
 
+def test_colors_past_the_vertex_count_cost_no_memory():
+    # the per-color tables used to grow with k^2: 75 MiB at k = 1500
+    path = Hypergraph.make(3, [(0, 1), (1, 2)])
+    tracemalloc.start()
+    try:
+        witness = colorable(path, 1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert witness == colorable(path, 3) == Coloring((0, 1, 0))
+
+
 def test_singleton_edge_rules():
     H = Hypergraph.make(2, [(0,)])
     assert colorable(H, 5) is None
@@ -157,7 +171,7 @@ def test_solver_matches_brute_force_on_random_corpus():
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.35]
         edges += [e for e in combinations(range(n), 3) if rng.random() < 0.2]
         H = Hypergraph.make(n, edges)
-        ref = brute_force_chromatic(H, max_colors=4)
+        ref = brute_force_chromatic(H)
         chi, _ = chromatic_number(H)
         if ref is None:
             assert chi > 4
@@ -172,14 +186,14 @@ def test_grouped_coloring_merges_classes():
 
 
 def test_chain_report_simplex6():
-    rep = chain_report(regular_simplex(6, 1.0), r_max=3)
+    rep = chain_report(regular_simplex(6, 1.0))
     assert rep["ok"]
     assert rep["chi"][2] == 6 and rep["chi"][3] == 3 == ceil(6 / 2)
 
 
 def test_chain_report_heptagon():
     R, _ = heptagon_config()
-    rep = chain_report(R, r_max=3)
+    rep = chain_report(R)
     assert rep["ok"] and rep["chi"][2] == 3
 
 
@@ -187,17 +201,17 @@ def test_chain_report_random_planar():
     rng = np.random.default_rng(71)
     for _ in range(8):
         P = PointSet.from_floats(rng.standard_normal((10, 2)))
-        assert chain_report(P, r_max=4)["ok"]
+        assert chain_report(P)["ok"]
     for _ in range(8):
-        assert chain_report(random_lattice_set(rng, 10, 3), r_max=4)["ok"]
+        assert chain_report(random_lattice_set(rng, 10, 3))["ok"]
 
 
 def test_chain_report_guard():
     with pytest.raises(ValueError):
-        chain_report(regular_polygon(50), r_max=3)
+        chain_report(regular_polygon(50))
 
 
 def test_odd_cycle_chain():
     P = regular_polygon(9)
-    rep = chain_report(P, r_max=4)
+    rep = chain_report(P)
     assert rep["ok"] and rep["chi"][2] == 3 and rep["chi"][3] == 1

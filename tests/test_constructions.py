@@ -105,6 +105,9 @@ def test_kneser_diameter_pairs_are_disjoint_pairs():
 
 
 def test_regular_simplex_basic():
+    point = regular_simplex(1)
+    assert point.points == ((0.0,),) and not point.is_exact
+
     seg = regular_simplex(2, 2.5)
     assert len(seg) == 2 and seg.dim == 1
     assert isclose(diameter(seg).value, 2.5, rel_tol=1e-12)
@@ -255,7 +258,7 @@ def test_exact_constructions_have_integer_squared_distances():
 
 
 def test_isosceles_apex_triangle():
-    tri = isosceles_apex_triangle(150.0, base=1.0)
+    tri = isosceles_apex_triangle(150.0)
     assert isclose(angle_at(*tri.points), 150.0, abs_tol=1e-9)
     assert isclose(diameter(tri).value, 1.0, rel_tol=1e-12)
 

@@ -282,7 +282,18 @@ def _three_problems():
     return [_extension_minimax(extension_problem(cube_corner_set(), 0, 3))[0],
             _extension_minimax(extension_problem(
                 isosceles_apex_triangle(160.0), 0, 1))[0],
-            _adversary_minimax(9)[0]]
+            _adversary_minimax()[0]]
+
+
+@pytest.mark.parametrize("multipliers", [np.zeros(4), np.full(4, np.nan),
+                                         -np.ones(4)])
+def test_dual_weights_without_multipliers_are_uniform_on_the_top(multipliers):
+    from diamray.degeneracy import CERTIFY_GAP, _dual_weights
+
+    # within CERTIFY_GAP of the top value counts as active, 10 gaps does not
+    values = np.array([2.0, 2.0 - CERTIFY_GAP, 0.5, 2.0 - 10 * CERTIFY_GAP])
+    weights = _dual_weights(multipliers, values)
+    assert np.array_equal(weights, [0.5, 0.5, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("beta", [4.0, 256.0])

@@ -120,6 +120,12 @@ def test_congruence_rejects_different_lengths():
     assert find_congruence(segment(1), segment(2)) is None
 
 
+def test_congruence_needs_equal_sizes():
+    triangle = PointSet.exact([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="equal cardinalities"):
+        find_congruence(segment(1), triangle)
+
+
 def test_congruence_symmetric():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -212,6 +218,8 @@ def test_pointset_validation():
         with pytest.raises(ValueError, match="tolerance"):
             PointSet.from_floats([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]], tolerance=tol)
     assert PointSet.from_floats([[0.0], [1.0]], tolerance=0.0).tolerance == 0.0
+    with pytest.raises(ValueError, match="tolerance must be"):
+        PointSet.from_floats([[0.0], [1.0]], tolerance=True)
     for radius in (float("nan"), 0.0, -1.0):
         with pytest.raises(ValueError, match="circumradius"):
             regular_polygon(5, radius)

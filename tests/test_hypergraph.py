@@ -263,6 +263,7 @@ def test_hypergraph_canonicalization_and_json():
     {"n": True, "edges": []},
     {"n": -2, "edges": []},
     {"n": 2, "r": True, "edges": [[0], [1]]},
+    {"edges": [[0, 1]]},
 ])
 def test_hypergraph_json_rejects_non_integers_and_negative_n(doc):
     with pytest.raises(ValueError):

@@ -421,7 +421,7 @@ def test_copies_match_brute_force_subsets():
 
 def _unreduced(R, P):
     """Every distance-preserving map of P into R, none skipped by symmetry."""
-    return list(_distance_preserving_maps(P, R).maps)
+    return list(_distance_preserving_maps(P, R)[0])
 
 
 def _copies_of(maps):
@@ -449,9 +449,9 @@ def test_orbit_stabiliser_counts():
 
 def test_simplex_arrow_search_finds_each_copy_once():
     host, pattern = regular_simplex(11, 1.0), regular_simplex(6, 1.0)
-    search = _distance_preserving_maps(pattern, host, symmetric=True)
-    assert (search.automorphisms, search.reduced) == (720, True)
-    maps = list(search.maps)
+    maps, automorphisms, reduced = _distance_preserving_maps(pattern, host, symmetric=True)
+    assert (automorphisms, reduced) == (720, True)
+    maps = list(maps)
     assert len(maps) == 462 == len(set(map(frozenset, maps)))
 
 
