@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("fast", "full"), default="fast")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slow", action="store_true",
-                   help="include checks with no runtime guarantee "
-                        "(the large chromatic refutation can run for hours)")
+                   help="include the slow-flagged checks (the 2-color "
+                        "refutation of H3 of Kneser(3,2,3))")
 
     return parser
 

@@ -4,12 +4,15 @@ The solver is a self-contained backtracking search. Vertices are assigned
 in index order and colors tried in ascending order with at most one brand
 new color per step, so the first solution found is the lexicographically
 least proper coloring; that canonical witness is part of the contract.
+A long search alternates with the same search on a copy relabelled in a
+connectivity order, which refutes far sooner; the witness is still the
+index-order lexicographic minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 
 from .geometry import PointSet
 from .hypergraph import Hypergraph, clique_hypergraph, diameter_graph
@@ -17,6 +20,8 @@ from .hypergraph import Hypergraph, clique_hypergraph, diameter_graph
 CHAIN_GUARD = 40  # chain_report refuses larger sets: chi is found exactly
 CHAIN_ORDERS = (2, 3, 4)  # chain_report audits H_2 to H_4
 BRUTE_FORCE_COLORS = 4  # brute_force_chromatic gives up past 4 colors
+FIRST_STAGE_NODES = 2000  # index-order nodes before colorable tries 2 orders
+_SPENT = object()  # _search's answer once its node budget is used up
 
 
 @dataclass(frozen=True)
@@ -47,12 +52,10 @@ def colorable(H: Hypergraph, num_colors: int) -> Coloring | None:
     there) only prunes branches without proper completions, so the first
     coloring found is still the global lexicographic minimum.
 
-    Forward checking alone also keeps every edge from completing
-    monochromatic. An edge is checked when its second-largest vertex gets
-    a color c: if the rest of the edge already has color c, c becomes
-    forbidden at the edge's largest vertex until that assignment is undone.
-    So the largest vertex can never close the edge in one color, and no
-    check is needed there.
+    Past FIRST_STAGE_NODES nodes, the search alternates with the same
+    search on H relabelled in a connectivity order, under doubling node
+    budgets. A refutation of the isomorphic copy answers None; a coloring
+    of it lets the index-order search run to the end for the witness.
     """
     if num_colors < 0:
         raise ValueError("number of colors must be nonnegative")
@@ -67,13 +70,40 @@ def colorable(H: Hypergraph, num_colors: int) -> Coloring | None:
     num_colors = min(num_colors, n)
     if any(len(e) == 1 for e in H.edges):
         return None
+    found = _search(H.edges, n, num_colors, FIRST_STAGE_NODES)
+    if found is _SPENT:
+        rank = _connectivity_rank(H)
+        relabelled = [tuple(sorted(map(rank.__getitem__, e))) for e in H.edges]
+        budget = FIRST_STAGE_NODES
+        while found is _SPENT:
+            found = _search(relabelled, n, num_colors, budget)
+            if found is None:
+                return None
+            # a coloring of the relabelled copy only shows that one exists
+            budget = 2 * budget if found is _SPENT else inf
+            found = _search(H.edges, n, num_colors, budget)
+    return found
 
+
+def _search(edges, n: int, num_colors: int, budget):
+    """colorable's search in index order over sorted edges of size >= 2.
+
+    Returns the lexicographically least proper coloring, None when there
+    is none, or _SPENT after `budget` nodes without an answer.
+
+    Forward checking alone also keeps every edge from completing
+    monochromatic. An edge is checked when its second-largest vertex gets
+    a color c: if the rest of the edge already has color c, c becomes
+    forbidden at the edge's largest vertex until that assignment is undone.
+    So the largest vertex can never close the edge in one color, and no
+    check is needed there.
+    """
     # an edge starts forcing at its second largest vertex. Vertex sets are
     # bitsets: forcing[v] maps the rest of each such edge to the largest
     # vertices it forces, members[c] holds the vertices colored c and
     # forbidden[c] those where c is forbidden
     forcing = [{} for _ in range(n)]
-    for e in H.edges:
+    for e in edges:
         rest = 0
         for u in e[:-2]:
             rest |= 1 << u
@@ -85,9 +115,15 @@ def colorable(H: Hypergraph, num_colors: int) -> Coloring | None:
     members = [0] * num_colors
     forbidden = [0] * num_colors
     others = [[x for x in range(num_colors) if x != c] for c in range(num_colors)]
+    nodes = 0
 
+    # True ends the search: a coloring is complete, or nodes passed budget
     def dfs(v: int, used: int) -> bool:
+        nonlocal nodes
         if v == n:
+            return True
+        nodes += 1
+        if nodes > budget:
             return True
         bit = 1 << v
         for c in range(min(used, num_colors - 1) + 1):
@@ -115,9 +151,40 @@ def colorable(H: Hypergraph, num_colors: int) -> Coloring | None:
             forbidden[c] = forb
         return False
 
-    if dfs(0, 0):
-        return Coloring(tuple(colors))
-    return None
+    if not dfs(0, 0):
+        return None
+    return _SPENT if nodes > budget else Coloring(tuple(colors))
+
+
+def _connectivity_rank(H: Hypergraph) -> list:
+    """Each vertex's place in a greedy order that closes edges early.
+
+    Starts at a vertex of largest degree. Each next vertex completes the
+    most edges, then lies in the most edges that hold a placed vertex, then
+    has the largest degree; the lower index breaks ties.
+    """
+    n, edges = H.n_vertices, H.edges
+    incident = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v].append(i)
+    placed = [0] * len(edges)  # placed vertices per edge
+    # [completes, touches, degree, -index]: the largest is placed next
+    score = [[0, 0, len(incident[u]), -u] for u in range(n)]
+    left, rank = set(range(n)), [0] * n
+    for place in range(n):
+        v = max(left, key=score.__getitem__)
+        left.remove(v)
+        rank[v] = place
+        for i in incident[v]:
+            placed[i] += 1
+            if placed[i] == 1:
+                for u in edges[i]:
+                    score[u][1] += 1
+            if placed[i] == len(edges[i]) - 1:
+                for u in left.intersection(edges[i]):
+                    score[u][0] += 1
+    return rank
 
 
 def _greedy_clique_bound(H: Hypergraph) -> int:

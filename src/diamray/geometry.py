@@ -207,14 +207,26 @@ class PointSet:
             raw = doc["points"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed point-set document: missing {exc}") from exc
-        labels = doc.get("labels")
-        if mode == EXACT:
-            ps = cls.exact(raw, labels)
-        elif mode == FLOAT:
-            pts = [[_json_float(x, "float coordinate") for x in p] for p in raw]
-            ps = cls.from_floats(pts, labels, doc.get("tolerance", DEFAULT_TOLERANCE))
-        else:
+        if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown mode {mode!r}")
+        if not isinstance(raw, list):
+            raise ValueError("points must be a list of points")
+        pts = []
+        for i, p in enumerate(raw):
+            if not isinstance(p, list):
+                raise ValueError(f"point {i} is not a list of coordinates")
+            try:
+                pts.append([parse_exact(x) if mode == EXACT
+                            else _json_float(x, "float coordinate") for x in p])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"point {i}: {exc}") from exc
+        labels = doc.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ValueError("labels must be a list")
+        if mode == EXACT:
+            ps = cls.exact(pts, labels)
+        else:
+            ps = cls.from_floats(pts, labels, doc.get("tolerance", DEFAULT_TOLERANCE))
         if "dim" in doc and _json_int(doc["dim"], "dim") != ps.dim:
             raise ValueError("declared dim does not match points")
         return ps

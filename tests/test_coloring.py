@@ -25,6 +25,7 @@ from diamray import (
     regular_simplex,
     PointSet,
 )
+from diamray import coloring
 from diamray.coloring import _canonical_colorings
 from diamray.verify import random_lattice_set
 
@@ -140,6 +141,64 @@ def test_witness_is_lexicographically_least():
                 want = next((Coloring(c) for c in _canonical_colorings(n, r)
                              if is_proper(H, Coloring(c))), None)
                 assert got == want
+
+
+def _lex_least(H: Hypergraph, r: int):
+    # oracle: canonical colorings enumerate in lexicographic order
+    return next((Coloring(c) for c in _canonical_colorings(H.n_vertices, r)
+                 if is_proper(H, Coloring(c))), None)
+
+
+def _spy_on_search(monkeypatch) -> list:
+    """Record what each run of the private search answered."""
+    answers, search = [], coloring._search
+
+    def spy(*args):
+        found = search(*args)
+        answers.append("spent" if found is coloring._SPENT
+                       else "refuted" if found is None else "colored")
+        return found
+
+    monkeypatch.setattr(coloring, "_search", spy)
+    return answers
+
+
+def test_both_search_orders_agree_with_the_oracle(monkeypatch):
+    # a first stage of a few nodes sends nearly every call through the
+    # connectivity order and the doubling loop
+    monkeypatch.setattr(coloring, "FIRST_STAGE_NODES", 2)
+    answers = _spy_on_search(monkeypatch)
+    rng = np.random.default_rng(83)
+    for size, p in ((2, 0.35), (3, 0.25)) * 6:
+        n = int(rng.integers(4, 13))
+        edges = [e for e in combinations(range(n), size) if rng.random() < p]
+        H = Hypergraph.make(n, edges)
+        for r in (1, 2, 3, 4):
+            assert colorable(H, r) == _lex_least(H, r)
+        assert chromatic_number(H)[0] == brute_force_chromatic(H)
+    assert {"spent", "refuted", "colored"} <= set(answers)
+
+
+# the lexicographically least 4-coloring of H3(kk4), as the benchmark stores it
+KK4_H3_WITNESS = (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                  2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2)
+
+
+def test_relabelling_keeps_the_verdicts_past_the_first_stage(monkeypatch):
+    H = diameter_hypergraph(kahn_kalai_set(4), 3)
+    assert chromatic_number(H) == (4, Coloring(KK4_H3_WITNESS))
+    answers = _spy_on_search(monkeypatch)
+    rng = np.random.default_rng(89)
+    for _ in range(5):
+        perm = rng.permutation(H.n_vertices).tolist()
+        relabelled = Hypergraph.make(
+            H.n_vertices, [tuple(perm[v] for v in e) for e in H.edges])
+        answers.clear()
+        assert colorable(relabelled, 3) is None
+        # index order spent its first stage, and the second order refuted
+        assert answers[0] == "spent" and answers[-1] == "refuted"
+        chi, witness = chromatic_number(relabelled)
+        assert chi == 4 and is_proper(relabelled, witness)
 
 
 def test_decision_invariant_under_relabeling():

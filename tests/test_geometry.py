@@ -281,6 +281,20 @@ def test_json_round_trip_float():
     assert back.points == P.points and back.tolerance == 1e-7
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"mode": "exact", "points": [[0], [True]]}, "point 1: booleans"),
+    ({"mode": "exact", "points": [[0], [0.5]]}, "point 1: not an exact scalar"),
+    ({"mode": "float", "points": [1, 2]}, "point 0 is not a list"),
+    ({"mode": "exact", "points": 5}, "points must be a list"),
+    ({"mode": "exact", "points": [[0], [1]], "labels": 5}, "labels"),
+])
+def test_from_json_rejects_bad_points_with_value_error(doc, message):
+    # each used to raise TypeError; bad documents raise ValueError, as they
+    # do in Hypergraph.from_json
+    with pytest.raises(ValueError, match=message):
+        PointSet.from_json(doc)
+
+
 def test_near_miss_flagging():
     # distance(1,2) = 1 - 8e-7 sits between 10*eps and eps below the diameter
     P = PointSet.from_floats([[0.0], [1.0], [8e-7]], tolerance=2e-7)
