@@ -68,12 +68,15 @@ def colorable(H: Hypergraph, num_colors: int) -> Coloring | None:
     # cannot fire while num_colors >= n (it needs every color in use), so
     # the cap keeps the witness and keeps `others`, k^2 entries, small
     num_colors = min(num_colors, n)
-    if any(len(e) == 1 for e in H.edges):
+    edges = tuple(H.edges)  # row-backed edges become tuples once per call
+    if any(len(e) == 1 for e in edges):
         return None
-    found = _search(H.edges, n, num_colors, FIRST_STAGE_NODES)
+    index = _forcing(edges, n)
+    found = _search(index, n, num_colors, FIRST_STAGE_NODES)
     if found is _SPENT:
-        rank = _connectivity_rank(H)
-        relabelled = [tuple(sorted(map(rank.__getitem__, e))) for e in H.edges]
+        rank = _connectivity_rank(n, edges)
+        relabelled = _forcing((tuple(sorted(map(rank.__getitem__, e)))
+                               for e in edges), n)
         budget = FIRST_STAGE_NODES
         while found is _SPENT:
             found = _search(relabelled, n, num_colors, budget)
@@ -81,12 +84,25 @@ def colorable(H: Hypergraph, num_colors: int) -> Coloring | None:
                 return None
             # a coloring of the relabelled copy only shows that one exists
             budget = 2 * budget if found is _SPENT else inf
-            found = _search(H.edges, n, num_colors, budget)
+            found = _search(index, n, num_colors, budget)
     return found
 
 
-def _search(edges, n: int, num_colors: int, budget):
-    """colorable's search in index order over sorted edges of size >= 2.
+def _forcing(edges, n: int) -> list:
+    """_search's tables: entry v maps the rest of each edge whose second
+    largest vertex is v to the largest vertices it forces, as bitsets."""
+    forcing = [{} for _ in range(n)]
+    for e in edges:
+        rest = 0
+        for u in e[:-2]:
+            rest |= 1 << u
+        group = forcing[e[-2]]
+        group[rest] = group.get(rest, 0) | 1 << e[-1]
+    return [tuple(group.items()) for group in forcing]
+
+
+def _search(forcing, n: int, num_colors: int, budget):
+    """colorable's search in index order over the tables of _forcing.
 
     Returns the lexicographically least proper coloring, None when there
     is none, or _SPENT after `budget` nodes without an answer.
@@ -98,19 +114,8 @@ def _search(edges, n: int, num_colors: int, budget):
     So the largest vertex can never close the edge in one color, and no
     check is needed there.
     """
-    # an edge starts forcing at its second largest vertex. Vertex sets are
-    # bitsets: forcing[v] maps the rest of each such edge to the largest
-    # vertices it forces, members[c] holds the vertices colored c and
-    # forbidden[c] those where c is forbidden
-    forcing = [{} for _ in range(n)]
-    for e in edges:
-        rest = 0
-        for u in e[:-2]:
-            rest |= 1 << u
-        group = forcing[e[-2]]
-        group[rest] = group.get(rest, 0) | 1 << e[-1]
-    forcing = [tuple(group.items()) for group in forcing]
-
+    # members[c] holds the vertices colored c and forbidden[c] those where
+    # c is forbidden
     colors = [0] * n
     members = [0] * num_colors
     forbidden = [0] * num_colors
@@ -156,14 +161,13 @@ def _search(edges, n: int, num_colors: int, budget):
     return _SPENT if nodes > budget else Coloring(tuple(colors))
 
 
-def _connectivity_rank(H: Hypergraph) -> list:
+def _connectivity_rank(n: int, edges) -> list:
     """Each vertex's place in a greedy order that closes edges early.
 
     Starts at a vertex of largest degree. Each next vertex completes the
     most edges, then lies in the most edges that hold a placed vertex, then
     has the largest degree; the lower index breaks ties.
     """
-    n, edges = H.n_vertices, H.edges
     incident = [[] for _ in range(n)]
     for i, e in enumerate(edges):
         for v in e:
@@ -187,11 +191,10 @@ def _connectivity_rank(H: Hypergraph) -> list:
     return rank
 
 
-def _greedy_clique_bound(H: Hypergraph) -> int:
+def _greedy_clique_bound(n: int, edges) -> int:
     """Size of a greedy clique among the 2-element edges (a lower bound on chi)."""
-    n = H.n_vertices
     adj = [set() for _ in range(n)]
-    for e in H.edges:
+    for e in edges:
         if len(e) == 2:
             adj[e[0]].add(e[1])
             adj[e[1]].add(e[0])
@@ -210,15 +213,16 @@ def chromatic_number(H: Hypergraph, use_clique_bound: bool = True):
     lower bound only skips color counts that cannot work; disabling it never
     changes the answer.
     """
-    if any(len(e) == 1 for e in H.edges):
+    edges = tuple(H.edges)
+    if any(len(e) == 1 for e in edges):
         raise ValueError("chromatic number undefined with singleton edges")
     if H.n_vertices == 0:
         return 0, Coloring(())
-    if not H.edges:
+    if not edges:
         return 1, Coloring(tuple(0 for _ in range(H.n_vertices)))
     lb = 2
     if use_clique_bound:
-        lb = max(lb, _greedy_clique_bound(H))
+        lb = max(lb, _greedy_clique_bound(H.n_vertices, edges))
     for k in range(lb, H.n_vertices + 1):
         witness = colorable(H, k)
         if witness is not None:

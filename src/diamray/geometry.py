@@ -240,6 +240,7 @@ def sq_dist(p, q, exact: bool) -> Scalar:
 
 
 _INT64_MAX = 2 ** 63 - 1
+_BLAS_POINTS = 32  # smaller sets multiply faster in int64 than through BLAS
 
 
 def _int64_gram_array(points):
@@ -264,6 +265,17 @@ def _int64_gram_array(points):
     return A
 
 
+def _gram(A: np.ndarray) -> np.ndarray:
+    """A @ A.T, in float64 BLAS while its partial sums stay integers < 2^53."""
+    if (A.dtype == np.int64 and len(A) >= _BLAS_POINTS
+            and 2 * A.shape[1] * int(A.max()) ** 2 < 2 ** 53):
+        gram = (F := A.astype(np.float64)) @ F.T
+        # cast in place: a second n x n array would raise peak memory
+        np.copyto(gram.view(np.int64), gram, casting="unsafe")
+        return gram.view(np.int64)
+    return A @ A.T
+
+
 def sq_dist_matrix(P: PointSet) -> np.ndarray:
     """Squared-distance matrix of a point set from one Gram expansion
     |a|^2 + |b|^2 - 2 a.b, a read-only symmetric ndarray: int64, or Python
@@ -281,7 +293,7 @@ def sq_dist_matrix(P: PointSet) -> np.ndarray:
     # a float overflow is raised below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         norms = (A * A).sum(axis=1)
-        D = norms[:, None] + norms[None, :] - 2 * (A @ A.T)
+        D = norms[:, None] + norms[None, :] - 2 * _gram(A)
     if not P.is_exact:
         if not np.isfinite(D).all():
             raise ValueError("squared distances overflow a float; "

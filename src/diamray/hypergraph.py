@@ -3,14 +3,16 @@
 The r-uniform structure on a point set has one hyperedge per r-subset whose
 points are pairwise at the diameter, i.e. per r-clique of the diameter
 graph. Edges are kept as strictly sorted, deduplicated index tuples so that
-results are canonical regardless of enumeration order.
+results are canonical regardless of enumeration order; canonical int rows
+stay the storage, behind a read-only sequence of the same tuples.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, islice
-from operator import itemgetter, lt
+from operator import eq, itemgetter, lt
 
 import numpy as np
 
@@ -22,12 +24,46 @@ _ARRAY_PAIRS = 100
 _CHUNK = 1 << 13  # rows per numpy step
 
 
+class _Rows(Sequence):
+    """Read-only edge tuples over a private (m, r) int array; equal to, and
+    hashed as, their tuple. np.asarray gives the rows without a copy."""
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Rows(self._rows[i])
+        return tuple(self._rows[i].tolist())
+
+    def __iter__(self):
+        for s in range(0, len(self._rows), _CHUNK):
+            yield from zip(*self._rows[s:s + _CHUNK].T.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._rows, dtype=dtype, copy=copy)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Rows)):
+            return NotImplemented
+        return len(other) == len(self) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Hypergraph:
-    """Vertex count plus a canonical list of hyperedges."""
+    """Vertex count plus canonical hyperedges: a tuple of tuples, or _Rows."""
 
     n_vertices: int
-    edges: tuple
+    edges: Sequence
     uniformity: int | None = None
 
     def __post_init__(self):
@@ -63,17 +99,17 @@ class Hypergraph:
 
         The vertices of each edge are sorted and deduplicated, then the
         edges are sorted and deduplicated. A tuple of edges already in that
-        form is taken as it is, and so is an int array of such rows.
+        form is taken as it is. An int array of such rows is kept, copied
+        first unless it is read-only and owns its data.
         """
         if isinstance(edges, np.ndarray):
             if _canonical_rows(n_vertices, edges, uniformity):
-                # __post_init__ would repeat these checks; one int per vertex
-                ids, out = list(range(n_vertices)), []
-                for s in range(0, len(edges), _CHUNK):
-                    out.extend(zip(*[list(map(ids.__getitem__, col))
-                                     for col in edges[s:s + _CHUNK].T.tolist()]))
+                # __post_init__ would repeat these checks; keep rows no one can write
+                if edges.flags.writeable or not edges.flags.owndata:
+                    edges = edges.copy()
+                    edges.flags.writeable = False
                 H = object.__new__(cls)
-                H.__dict__.update(n_vertices=n_vertices, edges=tuple(out),
+                H.__dict__.update(n_vertices=n_vertices, edges=_Rows(edges),
                                   uniformity=uniformity)
                 return H
             edges = edges.tolist()

@@ -201,6 +201,21 @@ def test_relabelling_keeps_the_verdicts_past_the_first_stage(monkeypatch):
         assert chi == 4 and is_proper(relabelled, witness)
 
 
+def test_each_order_builds_its_tables_once_per_call(monkeypatch):
+    # a one-node first stage makes H3(kk4) take several doubling rounds
+    monkeypatch.setattr(coloring, "FIRST_STAGE_NODES", 1)
+    answers = _spy_on_search(monkeypatch)
+    built, forcing = [], coloring._forcing
+    monkeypatch.setattr(coloring, "_forcing",
+                        lambda *args: built.append(1) or forcing(*args))
+    H = diameter_hypergraph(kahn_kalai_set(4), 3)
+    for k, want in ((3, None), (4, Coloring(KK4_H3_WITNESS))):
+        answers.clear()
+        built.clear()
+        assert colorable(H, k) == want
+        assert answers.count("spent") >= 6 and len(built) == 2
+
+
 def test_decision_invariant_under_relabeling():
     rng = np.random.default_rng(41)
     for _ in range(10):

@@ -405,6 +405,21 @@ def test_int64_path_matches_python_ints_near_the_bound():
             assert [list(r) for r in got] == want
 
 
+def test_int64_matrix_matches_sq_dist_around_the_float_product_bound():
+    # 2 * dim * w^2 < 2^53 holds up to w = 47453132 in the plane; below it
+    # the Gram product of 32 or more points runs in float64, above it in
+    # int64. At w = 2^27 + 1 a float64 product would round (w^2 needs 55 bits)
+    rng = np.random.default_rng(7)
+    for w in (47453132, 47453133, 2 ** 27 + 1):
+        assert (2 * 2 * w ** 2 < 2 ** 53) == (w == 47453132)
+        inner = rng.integers(0, w + 1, size=(32, 2)).tolist()
+        for shift in (0, -5 * w, 2 ** 40):
+            pts = [(shift + a, shift + b) for a, b in [(0, 0), (w, w)] + inner]
+            M = sq_dist_matrix(PointSet.exact(pts))
+            assert M.dtype == np.int64
+            assert M.tolist() == [[sq_dist(p, q, True) for q in pts] for p in pts]
+
+
 def test_sq_dist_matrix_storage():
     # one read-only array per set: int64, Python ints and Fractions past
     # int64 or with rational points, float64 in the float lane

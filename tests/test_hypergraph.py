@@ -1,6 +1,7 @@
 """Diameter graphs, r-clique hypergraphs, and the dual-route fact checks."""
 
 import os
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -161,6 +162,60 @@ def test_array_cliques_match_bitset_and_brute_force():
             assert Hypergraph.make(n, rows, r).edges == tuple(want)
             assert _r_cliques(n, G.edges, r) == want
             assert clique_hypergraph(G, r).edges == tuple(want)
+
+
+def test_row_backed_and_tuple_backed_hypergraphs_agree():
+    rng = np.random.default_rng(31)
+    graphs = [diameter_graph(kahn_kalai_set(4)),
+              diameter_graph(kneser_points(3, 2, 3)),
+              _random_graph(rng, 24, 0.6)]
+    for G in graphs:
+        n = G.n_vertices
+        assert len(G.edges) >= _ARRAY_PAIRS
+        rows = _clique_rows(n, G.edges, 3)
+        A = Hypergraph.make(n, rows, 3)
+        B = Hypergraph.make(n, [tuple(e) for e in rows.tolist()], 3)
+        assert type(B.edges) is tuple and type(A.edges) is not tuple
+        assert A == B and B == A and hash(A) == hash(B)
+        assert A.edges == B.edges and B.edges == A.edges
+        assert hash(A.edges) == hash(B.edges) and set(A.edges) == set(B.edges)
+        assert A.edges != B.edges[:-1] and A.edges[:-1] == B.edges[:-1]
+        assert A == Hypergraph.make(n, rows.astype(np.int64), 3)
+        assert A.to_json() == B.to_json() and repr(A) == repr(B)
+        assert Hypergraph.from_json(A.to_json()) == A
+        assert len(A.edges) == len(B.edges) == A.n_edges
+        assert A.edges[0] == B.edges[0] and A.edges[-1] == B.edges[-1]
+        assert {type(v) for v in A.edges[-1]} == {int}
+        part = A.edges[5:-7:3]
+        assert type(part) is type(A.edges) and part == B.edges[5:-7:3]
+        assert list(A.edges) == list(B.edges)
+        # the stored rows come back without a copy, and stay read-only
+        stored = np.asarray(A.edges)
+        assert np.shares_memory(stored, np.asarray(A.edges))
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0, 0] = 1
+        assert np.asarray(A.edges, dtype=np.int32).tolist() == rows.tolist()
+        # later writes to the array given to make, or to its base, change nothing
+        given = rows.copy()
+        view = given[:]
+        view.flags.writeable = False
+        C, D = Hypergraph.make(n, given, 3), Hypergraph.make(n, view, 3)
+        given[:] = 0
+        assert C.edges == D.edges == B.edges
+
+
+def test_kk6_h3_builds_no_per_edge_objects():
+    P = kahn_kalai_set(6)
+    tracemalloc.start()
+    try:
+        H = diameter_hypergraph(P, 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert H.n_edges == 1262800
+    # the edges as 1.26M Python tuples held about 91 MB and peaked at 113 MB
+    assert peak < 40e6 and held < 16e6
 
 
 def test_clique_hypergraph_needs_a_graph():
