@@ -2,17 +2,18 @@
 
 The r-uniform structure on a point set has one hyperedge per r-subset whose
 points are pairwise at the diameter, i.e. per r-clique of the diameter
-graph. Edges are kept as strictly sorted, deduplicated index tuples so that
-results are canonical regardless of enumeration order; canonical int rows
-stay the storage, behind a read-only sequence of the same tuples.
+graph. Edges are strictly increasing index tuples in strictly increasing
+lex order, the one form every Hypergraph is built in, so results are
+canonical regardless of enumeration order; large graphs and their clique
+hypergraphs keep int rows as the storage, behind a read-only sequence.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, islice
-from operator import eq, itemgetter, lt
+from itertools import combinations
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -60,69 +61,59 @@ class _Rows(Sequence):
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Vertex count plus canonical hyperedges: a tuple of tuples, or _Rows."""
+    """Vertex count plus canonical hyperedges, a tuple of tuples or _Rows;
+    construction rejects any other edges, and make canonicalises them."""
 
     n_vertices: int
     edges: Sequence
     uniformity: int | None = None
 
     def __post_init__(self):
-        # each check is a C-level pass over the edges; the offending edge is
-        # looked up only when a check fails
-        n, edges = self.n_vertices, self.edges
+        n, edges, r = self.n_vertices, self.edges, self.uniformity
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
-        lengths = set(map(len, edges))
-        if 0 in lengths:
+        if r is not None and r < 1:
+            raise ValueError(f"uniformity {r} is below 1")
+        if isinstance(edges, _Rows):
+            if not _canonical_rows(n, edges._rows, r):
+                raise ValueError("edge rows are not canonical on these vertices")
+            return
+        if edges != _canonical(edges):
+            raise ValueError("edges are not a tuple of strictly increasing "
+                             "tuples in strictly increasing lex order")
+        # canonical order puts an empty edge, and the least first vertex, first
+        if edges and not edges[0]:
             raise ValueError("empty hyperedge")
-        if self.uniformity is not None and lengths - {self.uniformity}:
-            bad = next(e for e in edges if len(e) != self.uniformity)
-            raise ValueError(f"edge {bad} breaks {self.uniformity}-uniformity")
-        if not _strictly_sorted(edges, lengths):
-            bad = next(e for e in edges if list(e) != sorted(set(e)))
-            raise ValueError(f"edge {bad} is not strictly sorted")
-        if edges and (min(map(itemgetter(0), edges)) < 0
-                      or max(map(itemgetter(-1), edges)) >= n):
+        if r is not None and set(map(len, edges)) - {r}:
+            bad = next(e for e in edges if len(e) != r)
+            raise ValueError(f"edge {bad} breaks {r}-uniformity")
+        if edges and (edges[0][0] < 0 or max(map(itemgetter(-1), edges)) >= n):
             bad = next(e for e in edges if e[0] < 0 or e[-1] >= n)
             raise ValueError(f"edge {bad} leaves the vertex range")
-        # strictly increasing lex order rules out duplicates by itself
-        if not _lex_increasing(edges) and len(set(edges)) < len(edges):
-            seen = set()
-            for e in edges:
-                if e in seen:
-                    raise ValueError(f"duplicate edge {e}")
-                seen.add(e)
 
     @classmethod
     def make(cls, n_vertices: int, edges, uniformity: int | None = None) -> "Hypergraph":
         """Hypergraph on any edge list, in canonical form.
 
-        The vertices of each edge are sorted and deduplicated, then the
-        edges are sorted and deduplicated. A tuple of edges already in that
-        form is taken as it is. An int array of such rows is kept, copied
-        first unless it is read-only and owns its data.
+        Edges that pass __post_init__ as given are kept: a tuple of tuples,
+        or an int array of rows, copied first unless it is read-only and
+        owns its data. Any other input has the vertices of each edge sorted
+        and deduplicated, then the edges, and is checked again.
         """
         if isinstance(edges, np.ndarray):
-            if _canonical_rows(n_vertices, edges, uniformity):
-                # __post_init__ would repeat these checks; keep rows no one can write
-                if edges.flags.writeable or not edges.flags.owndata:
-                    edges = edges.copy()
-                    edges.flags.writeable = False
-                H = object.__new__(cls)
-                H.__dict__.update(n_vertices=n_vertices, edges=_Rows(edges),
-                                  uniformity=uniformity)
-                return H
-            edges = edges.tolist()
-        edges = tuple(edges)
-        if set(map(type, edges)) <= {tuple} and _lex_increasing(edges):
-            # __post_init__ finishes the canonical test; input that fails
-            # it is canonicalised and checked again, as any other input
+            rows = edges
+            if rows.flags.writeable or not rows.flags.owndata:
+                rows = rows.copy()
+                rows.flags.writeable = False
             try:
-                return cls(n_vertices, edges, uniformity)
+                return cls(n_vertices, _Rows(rows), uniformity)
             except ValueError:
-                pass
-        edges = tuple(sorted({tuple(sorted(set(e))) for e in edges}))
-        return cls(n_vertices, edges, uniformity)
+                edges = edges.tolist()
+        edges = tuple(edges)
+        try:
+            return cls(n_vertices, edges, uniformity)
+        except ValueError:
+            return cls(n_vertices, _canonical(edges), uniformity)
 
     @property
     def n_edges(self) -> int:
@@ -147,27 +138,14 @@ class Hypergraph:
         return cls.make(n, edges, None if r is None else _json_int(r, "uniformity"))
 
 
-def _strictly_sorted(edges, lengths) -> bool:
-    """True iff every edge lists strictly increasing vertices.
-
-    `lengths` is the set of edge lengths. Compares neighbouring positions
-    column by column, one group of equal-length edges at a time.
-    """
-    for k in lengths:
-        group = edges if len(lengths) == 1 else [e for e in edges if len(e) == k]
-        for i in range(k - 1):
-            if not all(map(lt, map(itemgetter(i), group),
-                           map(itemgetter(i + 1), group))):
-                return False
-    return True
-
-
-def _lex_increasing(edges) -> bool:
-    return all(map(lt, edges, islice(edges, 1, None)))
+def _canonical(edges) -> tuple:
+    """Each edge sorted and deduplicated, then the edges sorted and deduplicated."""
+    return tuple(sorted({tuple(sorted(set(e))) for e in edges}))
 
 
 def _canonical_rows(n: int, rows: np.ndarray, uniformity: int | None) -> bool:
-    """True iff the non-empty int array rows would pass __post_init__."""
+    """True iff rows is a non-empty (m, r) int array of canonical edges on n
+    vertices, with r equal to uniformity unless that is None."""
     if (not rows.size or rows.ndim != 2 or rows.dtype.kind not in "iu"
             or uniformity not in (None, rows.shape[1])):
         return False
@@ -184,15 +162,19 @@ def diameter_graph(P: PointSet) -> Hypergraph:
     """Graph joining exactly the pairs of points at distance diam(P)."""
     if len(P) < 2:
         raise ValueError("diameter graph needs at least two points")
-    info = diameter(P)
-    return Hypergraph.make(len(P), info.pairs, uniformity=2)
+    pairs = diameter(P).pairs
+    if len(pairs) >= _ARRAY_PAIRS:
+        # as int rows, large graphs are checked in numpy and not copied
+        pairs = np.array(pairs, dtype=np.min_scalar_type(len(P)))
+        pairs.flags.writeable = False
+    return Hypergraph.make(len(P), pairs, uniformity=2)
 
 
 def _r_cliques(n: int, pair_edges, r: int) -> list:
     """All r-cliques of a graph, via ordered extension over adjacency bitsets.
 
     Each clique is a strictly increasing tuple and the list is in strictly
-    increasing lex order, which is the canonical order of Hypergraph.make.
+    increasing lex order, which is the canonical order of Hypergraph.
     """
     adj = [0] * n
     for i, j in pair_edges:
@@ -231,7 +213,9 @@ def _clique_rows(n: int, pair_edges, r: int) -> np.ndarray:
     i, j = np.array(pair_edges, dtype=np.intp).T
     later[np.minimum(i, j), np.maximum(i, j)] = True
     ids = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
-    return np.concatenate([np.empty((0, r), ids.dtype), *_extend(ids, later, later, r)])
+    rows = np.concatenate([np.empty((0, r), ids.dtype), *_extend(ids, later, later, r)])
+    rows.flags.writeable = False  # so make keeps the rows uncopied
+    return rows
 
 
 def _extend(rows, cand, later, r: int):

@@ -34,7 +34,7 @@ from .geometry import (
     _distance_preserving_maps,
     _same_distance,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _canonical
 
 BOUNDARY_TOL = 1e-12  # the mod-8 audit skips 2|x|^2 this close to an integer
 HOST_LIMIT = 64  # embedding witnesses materialize product hosts up to this size
@@ -78,7 +78,7 @@ def congruent_copies(R: PointSet, P: PointSet) -> CopyFamily:
     if len(P) > len(R):
         raise ValueError("pattern larger than host")
     maps, automorphisms, reduced = _distance_preserving_maps(P, R, symmetric=True)
-    copies = tuple(sorted({tuple(sorted(m)) for m in maps}))
+    copies = _canonical(maps)
     return CopyFamily(R, P, copies, automorphisms, reduced)
 
 

@@ -489,6 +489,8 @@ def verify_paper(suite: str = "fast", seed: int = 0, slow: bool = False):
     """
     if suite not in ("fast", "full"):
         raise ValueError("suite must be 'fast' or 'full'")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     params = FAST if suite == "fast" else FULL
     reports = []
     clock = time.perf_counter()

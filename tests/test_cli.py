@@ -289,7 +289,8 @@ def test_malformed_values_exit_2(tmp_path, capsys):
     assert code == 2
     # neither truncated to an edge nor colored as an empty vertex set
     for doc, word in (({"n": 3, "edges": [[0, 1.5]]}, "1.5"),
-                      ({"n": -2, "edges": []}, "negative")):
+                      ({"n": -2, "edges": []}, "negative"),
+                      ({"n": 3, "r": 0, "edges": []}, "uniformity")):
         path.write_text(json.dumps(doc))
         code = main(["chrom", "--input", str(path)])
         captured = capsys.readouterr()
@@ -337,7 +338,10 @@ def test_malformed_values_exit_2(tmp_path, capsys):
             # forever and dim 0 to divide by zero
             (["gadget", "--dim", "1", "--trials", "10"], "dim >= 2"),
             (["gadget", "--dim", "0", "--trials", "10"], "dim >= 2"),
-            (["gadget", "--trials", "-5"], "trials")):
+            (["gadget", "--trials", "-5"], "trials"),
+            # refused before any check runs, not reported as failed checks
+            (["verify-paper", "--seed", "-2000"], "seed"),
+            (["verify-paper", "--seed", "-1"], "seed")):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and not captured.out and word in captured.err, argv

@@ -158,7 +158,7 @@ def test_array_cliques_match_bitset_and_brute_force():
             want = [c for c in combinations(range(n), r)
                     if all(p in adj for p in combinations(c, 2))]
             rows = _clique_rows(n, G.edges, r)
-            assert rows.shape == (len(want), r)
+            assert rows.shape == (len(want), r) and not rows.flags.writeable
             assert Hypergraph.make(n, rows, r).edges == tuple(want)
             assert _r_cliques(n, G.edges, r) == want
             assert clique_hypergraph(G, r).edges == tuple(want)
@@ -303,11 +303,56 @@ def test_hypergraph_canonicalization_and_json():
         (pairs, (1, 2, 3), 2),      # broken uniformity
         (pairs, (3,), 2),           # mixed edge lengths under uniformity
     ]
+    # canonicalising repairs these faults, and cannot repair the others
+    repairable = {(4, 1), (0, 4, 2), (1, 1), (1, 2, 4)}
     for good, bad, r in cases:
-        for order in (sorted, lambda es: es[2:] + es[:2]):
-            Hypergraph(5, tuple(order(good)), r)
+        Hypergraph(5, tuple(sorted(good)), r)
+        with pytest.raises(ValueError):
+            Hypergraph(5, tuple(sorted(good + [bad])), r)
+        # out of lex order, construction refuses even the good edges, and
+        # make finds the fault or repairs it to the canonical hypergraph
+        for edges in (good, good + [bad]):
+            rotated = tuple(edges[2:] + edges[:2])
             with pytest.raises(ValueError):
-                Hypergraph(5, tuple(order(good + [bad])), r)
+                Hypergraph(5, rotated, r)
+            if edges == good or bad in repairable:
+                want = tuple(sorted({tuple(sorted(set(e))) for e in edges}))
+                assert Hypergraph.make(5, rotated, r) == Hypergraph(5, want, r)
+            else:
+                with pytest.raises(ValueError):
+                    Hypergraph.make(5, rotated, r)
+
+
+def test_construction_takes_only_canonical_edges():
+    with pytest.raises(ValueError):
+        Hypergraph(3, ((1, 2), (0, 1)))
+    with pytest.raises(ValueError):
+        Hypergraph(3, [(0, 1), (1, 2)])
+    H = Hypergraph(3, ((0, 1), (1, 2)))
+    for edges in (((1, 2), (0, 1)), [(0, 1), (1, 2)], [(2, 1), (0, 1), (1, 0)]):
+        made = Hypergraph.make(3, edges)
+        assert made == H and hash(made) == hash(H) and made.to_json() == H.to_json()
+    # a declared uniformity below 1 is refused for tuples and for int rows
+    for r in (0, -2):
+        for edges in ((), ((0, 1),), np.array([[0, 1]]), np.empty((0, 2), int)):
+            with pytest.raises(ValueError, match="uniformity"):
+                Hypergraph.make(3, edges, r)
+
+
+@pytest.mark.parametrize("make_points,rows", [
+    (lambda: kahn_kalai_set(4), True),          # 315 pairs
+    (lambda: kneser_points(3, 2, 3), True),     # 4,620 pairs
+    (lambda: kneser_points(2, 2, 2), False),    # the Petersen graph, 15 pairs
+])
+def test_large_diameter_graphs_are_int_rows(make_points, rows):
+    P = make_points()
+    G = diameter_graph(P)
+    assert (type(G.edges) is not tuple) == rows == (G.n_edges >= _ARRAY_PAIRS)
+    if rows:
+        assert not np.asarray(G.edges).flags.writeable
+    want = Hypergraph.make(len(P), diameter(P).pairs, 2)
+    assert type(want.edges) is tuple
+    assert G == want and hash(G) == hash(want) and G.to_json() == want.to_json()
 
 
 @pytest.mark.parametrize("doc", [
@@ -319,6 +364,8 @@ def test_hypergraph_canonicalization_and_json():
     {"n": -2, "edges": []},
     {"n": 2, "r": True, "edges": [[0], [1]]},
     {"edges": [[0, 1]]},
+    {"n": 3, "r": 0, "edges": []},
+    {"n": 3, "r": -2, "edges": []},
 ])
 def test_hypergraph_json_rejects_non_integers_and_negative_n(doc):
     with pytest.raises(ValueError):
