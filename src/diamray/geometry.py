@@ -334,23 +334,31 @@ def _float_root(sq) -> float:
         raise ValueError("the diameter overflows a float") from None
 
 
+def _diameter_pairs(P: PointSet) -> tuple:
+    """(value, sq, pairs, near) of a set of two or more points: the diameter,
+    its square, and the index arrays (i, j), i < j, of the pairs attaining it
+    and of the near misses, the pairs that match it only at 10x the tolerance."""
+    D = sq_dist_matrix(P)
+    best = D.item(D.argmax())
+    # best - x <= eps * best is the lane's rule for x and best, as x <= best;
+    # the exact lane's eps = 0 makes it x == best, with no near misses
+    eps = 0 if P.is_exact else P.tolerance
+    near = D == best if P.is_exact else best - D <= 10 * eps * best
+    # one flat scan is faster than np.nonzero on 2-D bools
+    i, j = np.divmod(np.flatnonzero(near), len(D))
+    upper = i < j
+    i, j = i[upper], j[upper]
+    hit = best - D[i, j] <= eps * best
+    return _float_root(best), best, (i[hit], j[hit]), (i[~hit], j[~hit])
+
+
 def diameter(P: PointSet) -> DiameterInfo:
     """Largest pairwise distance and the realizing pairs (0 for a singleton)."""
     if len(P) == 1:
         return DiameterInfo(0.0, 0 if P.is_exact else 0.0, ())
-    D = sq_dist_matrix(P)
-    best = D.item(D.argmax())
-    # best - x <= eps * best is the lane's rule for x and best, as x <= best;
-    # the exact lane's eps = 0 makes it x == best
-    eps = 0 if P.is_exact else P.tolerance
-    gap = best - D
-    i, j = np.nonzero(gap <= 10 * eps * best)
-    upper = i < j
-    i, j = i[upper], j[upper]
-    hit = gap[i, j] <= eps * best
-    return DiameterInfo(_float_root(best), best,
-                        tuple(zip(i[hit].tolist(), j[hit].tolist())),
-                        tuple(zip(i[~hit].tolist(), j[~hit].tolist())))
+    value, best, pairs, near = _diameter_pairs(P)
+    return DiameterInfo(value, best, *(tuple(zip(i.tolist(), j.tolist()))
+                                       for i, j in (pairs, near)))
 
 
 def cartesian_product(P: PointSet, Q: PointSet) -> PointSet:

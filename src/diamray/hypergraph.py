@@ -2,23 +2,26 @@
 
 The r-uniform structure on a point set has one hyperedge per r-subset whose
 points are pairwise at the diameter, i.e. per r-clique of the diameter
-graph. Edges are strictly increasing index tuples in strictly increasing
-lex order, the one form every Hypergraph is built in, so results are
-canonical regardless of enumeration order; large graphs and their clique
-hypergraphs keep int rows as the storage, behind a read-only sequence.
+graph. Edges are strictly increasing tuples of int indices in strictly
+increasing lex order, the one form every Hypergraph is built in, so results
+are canonical regardless of enumeration order. Large graphs and their
+clique hypergraphs keep column-major int rows as the storage, behind a
+read-only sequence, so the canonical check reads contiguous columns;
+`diameter_graph` fills its rows from the index arrays of the distance
+matrix, with no tuple per pair, under the pair rule of `geometry.diameter`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
-from operator import eq, itemgetter
+from itertools import chain, combinations
+from operator import eq, index, itemgetter
 
 import numpy as np
 
 from .constructions import kahn_kalai_blocks, kahn_kalai_set
-from .geometry import PointSet, _json_int, diameter
+from .geometry import PointSet, _diameter_pairs, _json_int
 
 # graphs with fewer pairs find cliques faster over bitsets than as array rows
 _ARRAY_PAIRS = 100
@@ -61,7 +64,7 @@ class _Rows(Sequence):
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Vertex count plus canonical hyperedges, a tuple of tuples or _Rows;
+    """Vertex count plus canonical hyperedges, a tuple of int tuples or _Rows;
     construction rejects any other edges, and make canonicalises them."""
 
     n_vertices: int
@@ -78,9 +81,9 @@ class Hypergraph:
             if not _canonical_rows(n, edges._rows, r):
                 raise ValueError("edge rows are not canonical on these vertices")
             return
-        if edges != _canonical(edges):
+        if not _int_ids(edges) or edges != _canonical(edges):
             raise ValueError("edges are not a tuple of strictly increasing "
-                             "tuples in strictly increasing lex order")
+                             "int tuples in strictly increasing lex order")
         # canonical order puts an empty edge, and the least first vertex, first
         if edges and not edges[0]:
             raise ValueError("empty hyperedge")
@@ -97,8 +100,10 @@ class Hypergraph:
 
         Edges that pass __post_init__ as given are kept: a tuple of tuples,
         or an int array of rows, copied first unless it is read-only and
-        owns its data. Any other input has the vertices of each edge sorted
-        and deduplicated, then the edges, and is checked again.
+        owns its data. Any other input has the vertices of each edge turned
+        into ints, sorted and deduplicated, then the edges, and is checked
+        again. Numpy integers become ints; an edge with any other vertex id,
+        a bool or a float included, raises a ValueError that names it.
         """
         if isinstance(edges, np.ndarray):
             rows = edges
@@ -113,7 +118,7 @@ class Hypergraph:
         try:
             return cls(n_vertices, edges, uniformity)
         except ValueError:
-            return cls(n_vertices, _canonical(edges), uniformity)
+            return cls(n_vertices, _canonical(map(_int_edge, edges)), uniformity)
 
     @property
     def n_edges(self) -> int:
@@ -143,6 +148,26 @@ def _canonical(edges) -> tuple:
     return tuple(sorted({tuple(sorted(set(e))) for e in edges}))
 
 
+def _int_ids(edges) -> bool:
+    """True iff every edge is a collection of Python ints, bools excluded."""
+    try:
+        return {*map(type, chain.from_iterable(edges))} <= {int}
+    except TypeError:
+        return False
+
+
+def _int_edge(e) -> tuple:
+    """The edge e as a tuple of ints, from ints or numpy integers; anything
+    else, bools included, raises a ValueError that names the edge."""
+    try:
+        ids = tuple(map(index, e))
+    except TypeError:
+        ids = None
+    if ids is None or bool in {*map(type, e)}:
+        raise ValueError(f"edge {e!r} is not a collection of int vertex ids")
+    return ids
+
+
 def _canonical_rows(n: int, rows: np.ndarray, uniformity: int | None) -> bool:
     """True iff rows is a non-empty (m, r) int array of canonical edges on n
     vertices, with r equal to uniformity unless that is None."""
@@ -162,10 +187,13 @@ def diameter_graph(P: PointSet) -> Hypergraph:
     """Graph joining exactly the pairs of points at distance diam(P)."""
     if len(P) < 2:
         raise ValueError("diameter graph needs at least two points")
-    pairs = diameter(P).pairs
-    if len(pairs) >= _ARRAY_PAIRS:
+    i, j = _diameter_pairs(P)[2]
+    if len(i) < _ARRAY_PAIRS:
+        pairs = tuple(zip(i.tolist(), j.tolist()))
+    else:
         # as int rows, large graphs are checked in numpy and not copied
-        pairs = np.array(pairs, dtype=np.min_scalar_type(len(P)))
+        pairs = np.empty((len(i), 2), np.min_scalar_type(len(P)), order="F")
+        pairs[:, 0], pairs[:, 1] = i, j
         pairs.flags.writeable = False
     return Hypergraph.make(len(P), pairs, uniformity=2)
 
@@ -208,30 +236,42 @@ def _r_cliques(n: int, pair_edges, r: int) -> list:
 
 
 def _clique_rows(n: int, pair_edges, r: int) -> np.ndarray:
-    """The r-cliques of a graph as (m, r) uint rows in _r_cliques' order."""
+    """The r-cliques of a graph as (m, r) uint rows in _r_cliques' order,
+    column-major, read-only and owning their data, so make keeps them."""
     later = np.zeros((n, n), dtype=bool)
     i, j = np.array(pair_edges, dtype=np.intp).T
     later[np.minimum(i, j), np.maximum(i, j)] = True
     ids = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
-    rows = np.concatenate([np.empty((0, r), ids.dtype), *_extend(ids, later, later, r)])
-    rows.flags.writeable = False  # so make keeps the rows uncopied
+    pieces = [np.empty((0, r), ids.dtype), *_extend(ids, later, later, r)]
+    rows = np.empty((sum(map(len, pieces)), r), ids.dtype, order="F")
+    np.concatenate(pieces, out=rows)
+    rows.flags.writeable = False
     return rows
 
 
 def _extend(rows, cand, later, r: int):
-    """Yield, in lex order and in chunks, the r-cliques that extend rows;
-    cand[k] marks the common neighbours after the last vertex of rows[k]."""
-    need = r - rows.shape[1]
+    """Yield, in lex order and in column-major chunks, the r-cliques that
+    extend rows; cand[k] marks the common neighbours after the last vertex
+    of rows[k]."""
+    n, need = len(later), r - rows.shape[1]
+    counts = cand.sum(axis=1, dtype=np.int32)
     # a row with fewer candidates than the clique still needs closes none
-    keep = cand.sum(axis=1, dtype=np.int32) >= need
-    rows, cand = rows[keep], cand[keep]
+    keep = counts >= need
+    rows, cand, counts = rows[keep], cand[keep], counts[keep]
+    if need == 1:
+        # the last level: each candidate of a row closes one clique
+        grown = np.empty((counts.sum(), r), rows.dtype, order="F")
+        for c in range(r - 1):
+            grown[:, c] = np.repeat(rows[:, c], counts)
+        grown[:, -1] = np.flatnonzero(cand) % n
+        yield grown
+        return
     # one flat scan is far faster than np.nonzero on 2-D bools
-    k, v = np.divmod(np.flatnonzero(cand), len(later))
+    k, v = np.divmod(np.flatnonzero(cand), n)
     for s in range(0, len(k), _CHUNK):
         ks, vs = k[s:s + _CHUNK], v[s:s + _CHUNK]
         grown = np.column_stack((rows[ks], vs.astype(rows.dtype)))
-        yield from (_extend(grown, cand[ks] & later[vs], later, r) if need > 1
-                    else [grown])
+        yield from _extend(grown, cand[ks] & later[vs], later, r)
 
 
 def clique_hypergraph(G: Hypergraph, r: int) -> Hypergraph:

@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -353,6 +354,73 @@ def test_large_diameter_graphs_are_int_rows(make_points, rows):
     want = Hypergraph.make(len(P), diameter(P).pairs, 2)
     assert type(want.edges) is tuple
     assert G == want and hash(G) == hash(want) and G.to_json() == want.to_json()
+
+
+def _shrunk_simplex(m):
+    # e_0 moved to (1 - 4e-9) e_0: its m - 1 pairs fall short of the squared
+    # diameter 2 by a relative 4e-9, inside 10x the tolerance but outside 1x
+    pts = np.eye(m)
+    pts[0, 0] -= 4e-9
+    return PointSet.from_floats(pts)
+
+
+# the int64 exact lane on both sides of _ARRAY_PAIRS is the test above
+@pytest.mark.parametrize("make_points,n_pairs,n_near", [
+    (lambda: PointSet.exact([[Fraction(x, 3) for x in p]      # exact, objects
+                             for p in kahn_kalai_set(4).points]), 315, 0),
+    (lambda: regular_polygon(9), 9, 0),                       # float
+    (lambda: _shrunk_simplex(6), 10, 5),                      # float
+    (lambda: _shrunk_simplex(16), 105, 15),                   # float
+])
+def test_diameter_graph_and_diameter_share_one_pair_rule(make_points, n_pairs, n_near):
+    P = make_points()
+    info, G = diameter(P), diameter_graph(P)
+    assert len(info.pairs) == n_pairs and len(info.near_misses) == n_near
+    assert (type(G.edges) is tuple) == (n_pairs < _ARRAY_PAIRS)
+    want = Hypergraph.make(len(P), info.pairs, 2)
+    assert G == want and hash(G) == hash(want) and G.to_json() == want.to_json()
+    # a near miss is reported by diameter and stays out of the graph
+    assert set(info.near_misses).isdisjoint(G.edges)
+
+
+def test_large_rows_reach_make_uncopied():
+    for P in (kahn_kalai_set(4), kneser_points(3, 2, 3)):
+        G = diameter_graph(P)
+        n = G.n_vertices
+        rows = _clique_rows(n, G.edges, 3)
+        H = Hypergraph.make(n, rows, 3)
+        assert np.shares_memory(np.asarray(H.edges), rows)
+        # a copy made by make would be row-major, so column-major rows that
+        # own their data are the ones built here
+        for stored in (rows, np.asarray(G.edges), np.asarray(H.edges),
+                       np.asarray(clique_hypergraph(G, 3).edges)):
+            assert stored.flags.f_contiguous and not stored.flags.c_contiguous
+            assert stored.flags.owndata and not stored.flags.writeable
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1.0)],
+    [(False, 2)],
+    [(0, np.True_)],
+    np.array([[0.5, 1.0]]),
+    np.array([[False, True]]),
+    [0, 1],
+    [(0, 1), "12"],
+    [(0, 0.0)],
+])
+def test_make_refuses_vertex_ids_that_are_not_ints(edges):
+    with pytest.raises(ValueError, match="^edge .* not a collection of int vertex ids"):
+        Hypergraph.make(3, edges)
+
+
+def test_make_turns_numpy_integer_vertices_into_ints():
+    H = Hypergraph.make(3, [(np.int64(2), np.uint8(0)), (np.intp(1), 2)])
+    assert H == Hypergraph(3, ((0, 2), (1, 2)))
+    assert {type(v) for e in H.edges for v in e} == {int}
+    # direct construction takes only the canonical form, which holds ints
+    for edges in (((0, 1.0),), ((np.int64(0), np.int64(1)),), ((False, 1),)):
+        with pytest.raises(ValueError, match="int tuples"):
+            Hypergraph(3, edges)
 
 
 @pytest.mark.parametrize("doc", [
