@@ -11,7 +11,6 @@ from .geometry import (
     DEFAULT_TOLERANCE,
     DiameterInfo,
     PointSet,
-    angle_at,
     cartesian_product,
     circumcenter,
     diameter,
@@ -36,7 +35,6 @@ from .constructions import (
     regular_simplex,
     segment,
     simplex_from_sides,
-    simplex_from_squared_sides,
 )
 from .hypergraph import (
     Hypergraph,
@@ -63,8 +61,6 @@ from .ramsey import (
     acute_triangle_embedding,
     arrows,
     congruent_copies,
-    mod8_color,
-    mod8_near_boundary,
     near_regular_simplex_embedding,
     obtuse_gadget_audit,
     regular_simplex_arrow,

@@ -190,11 +190,6 @@ def _as_fraction(x) -> Fraction:
     return Fraction(parse_exact(x))
 
 
-def simplex_from_squared_sides(side_sq) -> SimplexSpec:
-    rows = tuple(tuple(_as_fraction(x) for x in row) for row in side_sq)
-    return SimplexSpec(rows)
-
-
 def simplex_from_sides(sides) -> SimplexSpec:
     """SimplexSpec from the flat upper triangle of the side lengths.
 

@@ -439,6 +439,8 @@ def apex_angle_audit(trials: int = 100000, seed: int = 0) -> dict:
     the hypothesis are dropped; `attempts` counts every configuration
     drawn. A violation is an angle above 150 + ANGLE_TOL_DEGREES.
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     rng = np.random.default_rng(seed)
     accepted = attempts = violations = 0
     max_angle = 0.0

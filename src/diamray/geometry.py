@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import acos, degrees, isfinite, isqrt, prod, sqrt
+from math import isfinite, isqrt, prod, sqrt
 
 import numpy as np
 
@@ -536,17 +536,6 @@ def find_congruence(P: PointSet, Q: PointSet) -> tuple | None:
     if len(P) != len(Q):
         raise ValueError("congruence needs equal cardinalities")
     return next(_distance_preserving_maps(P, Q)[0], None)
-
-
-def angle_at(apex, b, c) -> float:
-    """Law-of-cosines angle at `apex` in degrees, in [0, 180]."""
-    u = np.asarray(b, dtype=float) - np.asarray(apex, dtype=float)
-    v = np.asarray(c, dtype=float) - np.asarray(apex, dtype=float)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("degenerate angle: zero-length side at apex")
-    cos = float(np.dot(u, v) / (nu * nv))
-    return degrees(acos(max(-1.0, min(1.0, cos))))
 
 
 def circumcenter(a, b, c) -> np.ndarray:

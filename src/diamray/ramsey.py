@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import ceil, floor, prod, sqrt
+from math import ceil, isfinite, prod, sqrt
 
 import numpy as np
 
@@ -328,19 +328,6 @@ def near_regular_simplex_embedding(spec: SimplexSpec,
         "n": n, "a_sq": slack, "sum_side_sq": total, "condition_slack": slack})
 
 
-def mod8_color(x) -> int:
-    """Color a point by floor(2 * squared norm) mod 8."""
-    norm_sq = float(sum(float(v) * float(v) for v in x))
-    return int(floor(2.0 * norm_sq)) % 8
-
-
-def mod8_near_boundary(x) -> bool:
-    """True when 2*|x|^2 sits within BOUNDARY_TOL of an integer (floor is
-    unreliable)."""
-    v = 2.0 * float(sum(float(t) * float(t) for t in x))
-    return abs(v - round(v)) < BOUNDARY_TOL
-
-
 def _gadget_placements(rng, batch: int, offsets: np.ndarray, K: float) -> tuple:
     """The placements inside the K-ball among `batch` midpoints m drawn
     uniform in the ball of radius sqrt(K^2 - 1): their midpoints, and the
@@ -380,9 +367,11 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
 
     Placements with a vertex too close to a floor boundary (within
     BOUNDARY_TOL) are excluded from the monochromatic count and tallied.
+    K must exceed the triangle's smallest enclosing radius, 1 for apex
+    heights h <= 1 and (1 + h^2) / (2h) above, or no placement fits.
     """
-    if K <= 1:
-        raise ValueError("need K > 1")
+    if not isfinite(K * K) or K <= 1:
+        raise ValueError(f"need K > 1 with K*K finite, got K = {K}")
     if dim < 2:
         raise ValueError("need dim >= 2 to place a triangle")
     if trials < 0:
@@ -392,6 +381,10 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
     if not 1.0 < leg <= 2.0:
         raise ValueError("legs must lie in (1, 2] so the base is the diameter")
     h = sqrt(leg * leg - 1.0)
+    radius = 1.0 if h <= 1.0 else (1.0 + h * h) / (2.0 * h)
+    if K <= radius:
+        raise ValueError(f"K = {K} is not above the triangle's enclosing "
+                         f"radius {radius:.6g}: no placement fits")
     rng = np.random.default_rng(seed)
     offsets = np.zeros((3, dim))  # a = m - e1, b = m + h e2, c = m + e1
     offsets[[0, 1, 2], [0, 1, 0]] = -1.0, h, 1.0

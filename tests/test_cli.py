@@ -339,6 +339,9 @@ def test_malformed_values_exit_2(tmp_path, capsys):
             (["gadget", "--dim", "1", "--trials", "10"], "dim >= 2"),
             (["gadget", "--dim", "0", "--trials", "10"], "dim >= 2"),
             (["gadget", "--trials", "-5"], "trials"),
+            # no placement fits a ball this small: the audit used to hang
+            (["gadget", "--K", "1.005", "--legs", "1.5", "--trials", "10"],
+             "K = 1.005"),
             # refused before any check runs, not reported as failed checks
             (["verify-paper", "--seed", "-2000"], "seed"),
             (["verify-paper", "--seed", "-1"], "seed")):

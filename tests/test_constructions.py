@@ -2,14 +2,14 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isclose, pi, sin, sqrt
+from math import comb, cos, isclose, pi, radians, sin, sqrt
 
 import numpy as np
 import pytest
 
 from diamray import (
     NonRealizableError,
-    angle_at,
+    SimplexSpec,
     brick,
     cube_corner_set,
     diameter,
@@ -25,7 +25,6 @@ from diamray import (
     regular_simplex,
     simplex_from_sides,
     segment,
-    simplex_from_squared_sides,
     sq_dist,
     sq_dist_matrix,
 )
@@ -208,9 +207,10 @@ def test_heptagon_config_diameters_match():
 def test_simplex_from_sides_right_triangle():
     spec = simplex_from_sides([3, 4, 5])
     pts = realize(spec)
-    # sides (p0p1, p0p2, p1p2) = (3, 4, 5): the right angle sits at p0
-    assert isclose(angle_at(pts.points[0], pts.points[1], pts.points[2]),
-                   90.0, abs_tol=1e-7)
+    # sides (p0p1, p0p2, p1p2) = (3, 4, 5): the right angle sits at p0,
+    # so the law of cosines reduces to Pythagoras there
+    D = sq_dist_matrix(pts)
+    assert isclose(D[1, 2], D[0, 1] + D[0, 2], rel_tol=1e-9)
 
 
 def test_simplex_from_sides_violating_triangle_inequality():
@@ -225,8 +225,8 @@ def test_realize_left_inverse_up_to_congruence():
         sides = [float(x) for x in rng.uniform(0.9, 1.1, size=n * (n - 1) // 2)]
         spec = simplex_from_sides(sides)
         pts = realize(spec)
-        spec2 = simplex_from_squared_sides(
-            [[float(x) for x in row] for row in sq_dist_matrix(pts)])
+        spec2 = SimplexSpec(tuple(tuple(Fraction(float(x)) for x in row)
+                                  for row in sq_dist_matrix(pts)))
         assert find_congruence(pts, realize(spec2)) is not None
 
 
@@ -259,15 +259,17 @@ def test_exact_constructions_have_integer_squared_distances():
 
 def test_isosceles_apex_triangle():
     tri = isosceles_apex_triangle(150.0)
-    assert isclose(angle_at(*tri.points), 150.0, abs_tol=1e-9)
+    D = sq_dist_matrix(tri)  # law of cosines at the apex p0
+    cos_apex = (D[0, 1] + D[0, 2] - D[1, 2]) / (2 * sqrt(D[0, 1] * D[0, 2]))
+    assert isclose(cos_apex, cos(radians(150.0)), abs_tol=1e-12)
     assert isclose(diameter(tri).value, 1.0, rel_tol=1e-12)
 
 
 def test_simplex_spec_validation():
     with pytest.raises(ValueError):
-        simplex_from_squared_sides([[0, 1], [2, 0]])
+        SimplexSpec(((0, 1), (2, 0)))
     with pytest.raises(ValueError):
-        simplex_from_squared_sides([[1, 1], [1, 0]])
+        SimplexSpec(((1, 1), (1, 0)))
     with pytest.raises(ValueError):
         simplex_from_sides([1, 1])  # not an upper triangle count
 

@@ -14,7 +14,6 @@ from scipy.optimize import minimize
 
 from diamray import (
     PointSet,
-    angle_at,
     apex_angle_audit,
     circumcenter,
     cube_corner_set,
@@ -29,6 +28,7 @@ from diamray import (
     realize,
     regular_simplex,
     simplex_from_sides,
+    sq_dist_matrix,
     star_witness_values,
 )
 
@@ -235,6 +235,12 @@ def test_apex_angle_audit_draws_at_most_twice_its_trials():
     assert rep["attempts"] <= 2 * rep["trials"]
 
 
+def test_apex_angle_audit_refuses_negative_trials():
+    # it used to report ok with 0 trials; its sibling audits raise
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        apex_angle_audit(trials=-5)
+
+
 @pytest.mark.parametrize("boundary", [False, True])
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_apex_configurations_satisfy_hypothesis(dim, boundary):
@@ -263,7 +269,9 @@ def test_apex_angle_boundary_witness():
     assert max(np.linalg.norm(q - pts[1]), np.linalg.norm(q - pts[2])) \
         <= p1q + 1e-12
     assert p1q <= float(np.linalg.norm(pts[1] - pts[2])) + 1e-12
-    assert angle_at(*tri.points) == pytest.approx(150.0, abs=1e-9)
+    D = sq_dist_matrix(tri)  # law of cosines at the apex p0
+    cos_apex = (D[0, 1] + D[0, 2] - D[1, 2]) / (2 * sqrt(D[0, 1] * D[0, 2]))
+    assert cos_apex == pytest.approx(cos(radians(150.0)), abs=1e-12)
 
 
 def _central_difference(f, A, h=1e-6):

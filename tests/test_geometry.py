@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from diamray import (
     PointSet,
-    angle_at,
     brick,
     cartesian_product,
     circumcenter,
@@ -53,6 +52,11 @@ def test_heptagon_chords_match_closed_form():
             k = min((j - i) % 7, (i - j) % 7)
             expected = 4.0 * sin(k * pi / 7) ** 2
             assert isclose(M[i][j], expected, rel_tol=1e-12)
+    # the chord between the unit vectors at +-75 degrees is 2 cos(15 degrees)
+    b = (cos(radians(75.0)), sin(radians(75.0)))
+    c = (cos(radians(75.0)), -sin(radians(75.0)))
+    assert isclose(sqrt(sq_dist(b, c, False)), 2 * cos(radians(15.0)),
+                   rel_tol=1e-12)
 
 
 def test_diameter_single_point():
@@ -166,25 +170,6 @@ def test_rigid_motion_invariance():
             a, b = M[i][j], M2[i][j]
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
     assert find_congruence(P, moved) is not None
-
-
-def test_angle_at_examples():
-    eq = PointSet.from_floats([(0, 0), (1, 0), (0.5, sqrt(3) / 2)])
-    assert isclose(angle_at(eq.points[0], eq.points[1], eq.points[2]), 60.0,
-                   abs_tol=1e-9)
-    assert isclose(angle_at((0, 0), (1, 0), (0, 1)), 90.0, abs_tol=1e-9)
-    # legs 1 with base 2*cos(15 degrees) puts 150 degrees at the apex
-    base = 2 * cos(radians(15.0))
-    apex = (0.0, 0.0)
-    b = (cos(radians(75.0)), sin(radians(75.0)))
-    c = (cos(radians(75.0)), -sin(radians(75.0)))
-    assert isclose(sqrt(sq_dist(b, c, False)), base, rel_tol=1e-12)
-    assert isclose(angle_at(apex, b, c), 150.0, abs_tol=1e-9)
-
-
-def test_angle_at_degenerate_raises():
-    with pytest.raises(ValueError):
-        angle_at((0, 0), (0, 0), (1, 0))
 
 
 def test_circumcenter_equidistant():

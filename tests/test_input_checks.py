@@ -1,0 +1,86 @@
+"""Argument checks across the package: each bad input raises ValueError
+with a message that names the fault."""
+
+from math import sqrt
+
+import numpy as np
+import pytest
+
+from diamray import (
+    Coloring,
+    PointSet,
+    SimplexSpec,
+    arrows,
+    brick,
+    congruent_copies,
+    extension_problem,
+    far_pair_witness,
+    grouped_coloring,
+    isosceles_apex_triangle,
+    kneser_subsets,
+    near_regular_simplex_embedding,
+    regular_simplex,
+    regular_simplex_arrow,
+    right_triangle_embedding,
+    segment,
+    simplex_from_sides,
+    star_witness_values,
+)
+
+
+def _not_a_star():
+    # sqrt(2) e1, e2, e3 in R^6: norms sqrt(2), but pairwise 2 apart
+    return far_pair_witness(sqrt(2.0) * np.eye(3, 6))
+
+
+_CASES = {
+    # geometry
+    "unknown mode 'rational'": lambda: PointSet(((0,),), "rational"),
+    "points need dimension >= 1": lambda: PointSet(((),), "exact"),
+    "labels must match point count":
+        lambda: PointSet(((0,), (1,)), "exact", ("a",)),
+    "malformed point-set document: missing 'mode'":
+        lambda: PointSet.from_json({"points": [[0]]}),
+    "unknown mode 'fraction'":
+        lambda: PointSet.from_json({"mode": "fraction", "points": [[0]]}),
+    "declared dim does not match points":
+        lambda: PointSet.from_json({"mode": "exact", "points": [[0], [1]],
+                                    "dim": 2}),
+    # constructions
+    "segment length must be positive": lambda: segment(0),
+    "brick needs at least one side length": lambda: brick([]),
+    "need n >= 1, k >= 2, r >= 2": lambda: kneser_subsets(1, 1, 2),
+    "apex angle must lie strictly between 0 and 180":
+        lambda: isosceles_apex_triangle(180.0),
+    "simplex needs at least one vertex": lambda: SimplexSpec(()),
+    "side matrix must be square": lambda: SimplexSpec(((0,), (1,))),
+    "off-diagonal sides must be positive":
+        lambda: SimplexSpec(((0, 0), (0, 0))),
+    "empty side list": lambda: simplex_from_sides([]),
+    "need at least one vertex": lambda: regular_simplex(0),
+    # ramsey
+    "pattern larger than host":
+        lambda: congruent_copies(segment(1), regular_simplex(3)),
+    "need at least one color":
+        lambda: arrows(regular_simplex(3), segment(1), 0),
+    "need pattern dimension >= 1 and r >= 2":
+        lambda: regular_simplex_arrow(0, 2),
+    "legs must be nonnegative and not both zero":
+        lambda: right_triangle_embedding(0, 0),
+    "need at least two vertices":
+        lambda: near_regular_simplex_embedding(SimplexSpec(((0,),))),
+    # degeneracy: a one-point base has diameter 0
+    "side must be positive":
+        lambda: extension_problem(PointSet.exact([[0]]), 0, 1),
+    "pair 0,1 is not at squared distance 2": _not_a_star,
+    "need trials >= 0, got -1": lambda: star_witness_values(-1, 0),
+    # coloring
+    "need r >= 2": lambda: grouped_coloring(Coloring((0, 1)), 1),
+}
+
+
+@pytest.mark.parametrize("message", list(_CASES))
+def test_bad_input_raises_value_error(message):
+    with pytest.raises(ValueError) as exc:
+        _CASES[message]()
+    assert str(exc.value) == message

@@ -1,5 +1,6 @@
 """Copy enumeration, arrow decisions, embedding witnesses, residue gadget."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import sqrt
@@ -21,8 +22,6 @@ from diamray import (
     find_congruence,
     heptagon_config,
     is_proper,
-    mod8_color,
-    mod8_near_boundary,
     near_regular_simplex_embedding,
     obtuse_gadget_audit,
     random_orthogonal,
@@ -287,15 +286,6 @@ def test_acute_triangles_are_the_three_vertex_near_regular_case():
     assert 0 < obtuse < checked
 
 
-def test_mod8_color_values():
-    assert mod8_color([0.0, 0.0]) == 0
-    # squared norm 1.75 -> floor(3.5) = 3
-    assert mod8_color([sqrt(1.75)]) == 3
-    assert mod8_color([2.0]) == 0  # floor(8) mod 8
-    assert mod8_near_boundary([sqrt(0.5)])
-    assert not mod8_near_boundary([sqrt(0.3)])
-
-
 def test_gadget_audit_proof_triangle_clean():
     rep = obtuse_gadget_audit(K=2.0, trials=20000, seed=5)
     assert rep["ok"] and rep["monochromatic"] == 0
@@ -311,11 +301,13 @@ def test_gadget_audit_detects_thick_legs():
     rep = obtuse_gadget_audit(K=2.0, trials=100000, seed=11, legs=1 + 1 / 68)
     assert rep["monochromatic"] > 0 and not rep["ok"]
     assert rep["failures"]
-    f = rep["failures"][0]
-    a, b, c = (np.array(f[k]) for k in ("a", "b", "c"))
-    assert np.linalg.norm(a - c) == pytest.approx(2.0, rel=1e-9)
-    assert np.linalg.norm(b - a) == pytest.approx(1 + 1 / 68, rel=1e-9)
-    assert len({mod8_color(p) for p in (a, b, c)}) == 1
+    for f in rep["failures"]:
+        a, b, c = (np.array(f[k]) for k in ("a", "b", "c"))
+        assert np.linalg.norm(a - c) == pytest.approx(2.0, rel=1e-9)
+        assert np.linalg.norm(b - a) == pytest.approx(1 + 1 / 68, rel=1e-9)
+        # a second evaluation of the residue rule on the reported coordinates
+        assert [int(np.floor(2 * v @ v) % 8) for v in (a, b, c)] == \
+            [f["color"]] * 3
 
 
 def _rotated_gadget_squares(K, h, n, seed, dim=3):
@@ -533,3 +525,11 @@ def test_gadget_audit_deterministic_and_guarded():
         obtuse_gadget_audit(K=2.0, trials=-5)
     rep = obtuse_gadget_audit(K=2.0, trials=0)
     assert (rep["trials"], rep["attempts"], rep["ok"]) == (0, 0, True)
+    # a NaN or overflowing K*K fails every draw, and a ball no larger than
+    # the triangle's enclosing radius, 1.00623 for legs 1.5, holds no
+    # placement: each used to draw forever
+    for K in (float("nan"), float("inf"), 1e200, 1.005):
+        with pytest.raises(ValueError, match=re.escape(f"K = {K}")):
+            obtuse_gadget_audit(K=K, trials=10, legs=1.5)
+    rep = obtuse_gadget_audit(K=1.02, trials=2000, seed=1, legs=1.5)
+    assert (rep["trials"], rep["attempts"]) == (2000, 212992)
