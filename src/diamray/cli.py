@@ -28,6 +28,7 @@ from .constructions import (
 )
 from .degeneracy import (
     DEFAULT_RESTARTS,
+    STAR_DIM,
     SUPPORT_MARGIN,
     degeneracy_evidence,
     extension_problem,
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
              run=_cmd_t5_witness)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=9)
+    p.add_argument("--dim", type=int, default=STAR_DIM)
 
     p = leaf(sub, "verify-paper", "run the registered verification checks",
              run=_cmd_verify_paper)

@@ -6,10 +6,11 @@ union. Placements are parametrized by an orthonormal m x t frame Q (the QR
 factor of a free matrix, signs fixed so diag(R) > 0), so the simplex
 constraints hold to machine precision by construction.
 
-The extension problem and the far-pair adversary share one form: minimize,
-over frames Q, the largest of the affine values c_k - <G_k, Q>
-(_FrameMinimax). One driver (_minimize) runs L-BFGS-B on a softmax of the
-values, at one sharpness relative to the problem's scale, from random
+The extension problem minimizes, over frames Q, the largest of the affine
+values c_k - <G_k, Q> (_FrameMinimax), the squared distances from the
+simplex to the base; the far-pair adversary is the corner-star extension
+read in coordinates. One driver (_minimize) runs L-BFGS-B on a softmax of
+the values, at one sharpness relative to the problem's scale, from random
 starts, and one SLSQP polish of the epigraph form, minimize tau subject to
 tau >= c_k - <G_k, Q>, takes the best start to the exact active set. Its
 KKT multipliers, normalised to weights lambda on the simplex, certify the
@@ -37,7 +38,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .constructions import regular_simplex
+from .constructions import cube_corner_set, regular_simplex
 from .geometry import PointSet, _frame, diameter, random_orthogonal
 
 DEFAULT_RESTARTS = 50
@@ -135,11 +136,11 @@ class _FrameMinimax:
     """Minimize, over orthonormal m x t frames Q, the largest affine value
     c_k - <G_k, Q>.
 
-    objective(Q) is the true objective, computed from the placement of
-    frame Q, and report(v) maps an affine value v onto the objective's
-    scale, monotonely; objective(Q) is report(values(Q).max()) up to
-    rounding. `scale` is the problem's unit of value (side^2): the softmax
-    runs at sharpness beta / scale.
+    The values are the extension's squared distances (_extension_minimax).
+    objective(Q) is the union's diameter at frame Q, and report(v) maps a
+    value v onto its scale, monotonely; objective(Q) is
+    report(values(Q).max()) up to rounding. `scale` is the problem's unit
+    of value (side^2): the softmax runs at sharpness beta / scale.
     """
 
     c: np.ndarray  # (k,)
@@ -238,7 +239,7 @@ def _certified(lower: float, upper: float) -> bool:
 
 def _minimize(prob: _FrameMinimax, restarts: int,
               rng: np.random.Generator) -> tuple:
-    """Minimize prob.objective over frames; the one driver of both problems.
+    """Minimize prob.objective over frames; the one optimizer driver.
 
     Each start draws A from rng.standard_normal(m * t) and runs L-BFGS-B on
     the softmax surrogate at _BETA. The best start by the true objective is
@@ -551,46 +552,32 @@ def star_witness_values(trials: int, seed: int,
     return out
 
 
-def _adversary_minimax() -> tuple:
-    """The adversary's affine form, and the map from a frame Q to the three
-    nonzero tetrahedron vertices F_i Q^T.
-
-    Maximizing the smallest coordinate x_i(j) = <e_j F_i^T, Q>, j < 6, is
-    minimizing the largest of the values -x_i(j): c = 0 and G_ij = e_j F_i^T.
-    The objective is the negated max-min, read off the vertices.
-    """
-    F = _anchored_frame(3, sqrt(2.0))
-
-    def tetrahedron(Q):
-        return F @ Q.T
-
-    G = np.eye(6, STAR_DIM)[None, :, :, None] * F[:, None, None, :]
-    return _FrameMinimax(np.zeros(18), G.reshape(18, STAR_DIM, 3), 2.0,
-                         lambda Q: -float(tetrahedron(Q)[:, :6].min()),
-                         lambda v: v), tetrahedron
-
-
 def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> dict:
     """Adversarial search maximizing the smallest of the first six coordinates.
 
     Over all regular side-sqrt(2) tetrahedra anchored at the origin, tries
-    to push every coordinate x_i(j), j < 6, as high as possible. The max-min
-    found is a lower bound on the adversary's optimum and `upper_bound`, the
-    duality bound, an upper one. Both stay below 1/2, which is exactly why
-    appending such a tetrahedron to the cube-corner star always stretches
-    some distance past sqrt(2).
+    to push every coordinate x_i(j), j < 6, as high as possible: the
+    corner-star extension read in coordinates, as |p_i - e_j|^2 is
+    3 - 2 x_i(j). The max-min found, (3 - v^2) / 2 for the extension's
+    value v, is a lower bound on the optimum and `upper_bound`, the same
+    reading of the duality bound, an upper one. Both stay below 1/2, which
+    is exactly why appending such a tetrahedron to the cube-corner star
+    always stretches some distance past sqrt(2).
     """
-    problem, tetrahedron = _adversary_minimax()
-    Q, value, lower, values, evaluations, gradients = _minimize(
-        problem, restarts, np.random.default_rng(seed))
+    res = min_extension_diameter(extension_problem(cube_corner_set(), 0, 3),
+                                 restarts, seed)
+
+    def max_min(v):
+        return (3.0 - v * v) / 2.0
+
     return {
         "dim": STAR_DIM,
         "restarts": restarts,
-        "best_max_min": -value,
-        "restart_values": tuple(-v for v in values),
-        "points": tetrahedron(Q).tolist(),
-        "evaluations": evaluations,
-        "gradients": gradients,
-        "upper_bound": -lower,
-        "certified": _certified(-value, -lower),
+        "best_max_min": max_min(res.value),
+        "restart_values": tuple(map(max_min, res.restart_values)),
+        "points": res.simplex.as_array()[1:].tolist(),
+        "evaluations": res.evaluations,
+        "gradients": res.gradients,
+        "upper_bound": max_min(res.lower),
+        "certified": res.certified,
     }

@@ -40,6 +40,10 @@ BOUNDARY_TOL = 1e-12  # the mod-8 audit skips 2|x|^2 this close to an integer
 HOST_LIMIT = 64  # embedding witnesses materialize product hosts up to this size
 ARROW_EXACT_LIMIT = 12  # regular_simplex_arrow decides hosts up to this size
 _GADGET_BATCH = 16384  # midpoints drawn per batch of the mod-8 audit
+# the mod-8 audit gives up once this many draws keep under this share of
+# placements that fit: K just above the enclosing radius fits almost none
+_GADGET_MIN_DRAWS = 1 << 20
+_GADGET_MIN_RATE = 2.0 ** -12
 
 
 @dataclass(frozen=True)
@@ -368,7 +372,9 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
     Placements with a vertex too close to a floor boundary (within
     BOUNDARY_TOL) are excluded from the monochromatic count and tallied.
     K must exceed the triangle's smallest enclosing radius, 1 for apex
-    heights h <= 1 and (1 + h^2) / (2h) above, or no placement fits.
+    heights h <= 1 and (1 + h^2) / (2h) above, or no placement fits; just
+    above it almost none does, and the audit raises once
+    _GADGET_MIN_DRAWS draws keep a share below _GADGET_MIN_RATE.
     """
     if not isfinite(K * K) or K <= 1:
         raise ValueError(f"need K > 1 with K*K finite, got K = {K}")
@@ -392,6 +398,12 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
     accepted = attempts = flagged = mono = 0
     failures = []
     while accepted < trials:
+        if (attempts >= _GADGET_MIN_DRAWS
+                and accepted < _GADGET_MIN_RATE * attempts):
+            raise ValueError(f"K = {K} fits {accepted} of {attempts} draws, "
+                             f"a rate of {accepted / attempts:.3g} below "
+                             f"{_GADGET_MIN_RATE:.3g}: too close to the "
+                             f"enclosing radius {radius:.6g}")
         m, sq = (x[: trials - accepted]
                  for x in _gadget_placements(rng, _GADGET_BATCH, offsets, K))
         attempts += _GADGET_BATCH

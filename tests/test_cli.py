@@ -20,6 +20,7 @@ from diamray import (
     simplex_from_sides,
 )
 from diamray.cli import main
+from diamray.degeneracy import STAR_DIM
 
 
 def _run(capsys, *argv):
@@ -261,6 +262,8 @@ def test_t5_witness_cli(capsys):
     code, doc = _run(capsys, "t5-witness", "--trials", "100", "--seed", "2")
     assert code == 0 and doc["failures"] == 0
     assert doc["max_coordinate"] < 0.5
+    # the default dimension is the one the far-pair adversary reports
+    assert doc["dim"] == STAR_DIM
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -342,6 +345,9 @@ def test_malformed_values_exit_2(tmp_path, capsys):
             # no placement fits a ball this small: the audit used to hang
             (["gadget", "--K", "1.005", "--legs", "1.5", "--trials", "10"],
              "K = 1.005"),
+            # and one just above it fits too few: it used to draw forever
+            (["gadget", "--K", "1.00625", "--legs", "1.5", "--trials", "10"],
+             "K = 1.00625 fits 0 of"),
             # refused before any check runs, not reported as failed checks
             (["verify-paper", "--seed", "-2000"], "seed"),
             (["verify-paper", "--seed", "-1"], "seed")):

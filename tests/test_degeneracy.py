@@ -187,12 +187,17 @@ def test_random_star_tetrahedron_feasible():
 def test_far_pair_adversary_stays_below_half():
     rep = far_pair_adversary(restarts=6, seed=5)
     assert rep["best_max_min"] < 0.5 - 1e-3
-    # consistency with the extension view: max dist^2 = 3 - 2 min coord
+    # the adversary reads the star's extension: max dist^2 = 3 - 2 min coord
     star = cube_corner_set()
     res = min_extension_diameter(extension_problem(star, 0, 3),
                                  restarts=6, seed=5)
-    assert res.value ** 2 == pytest.approx(3.0 - 2.0 * rep["best_max_min"],
-                                           abs=5e-3)
+    assert rep["best_max_min"] == (3.0 - res.value * res.value) / 2.0
+    # the reported points are a star tetrahedron holding that max-min, and
+    # no start beats the polished best
+    assert far_pair_witness(rep["points"])[2] == pytest.approx(
+        rep["best_max_min"], abs=1e-12)
+    assert len(rep["restart_values"]) == 6
+    assert max(rep["restart_values"]) <= rep["best_max_min"]
 
 
 def test_uncertified_polish_retries_one_start():
@@ -283,14 +288,13 @@ def _central_difference(f, A, h=1e-6):
     return grad
 
 
-def _three_problems():
-    """The affine forms of the corner star, apex 160 and the adversary."""
-    from diamray.degeneracy import _adversary_minimax, _extension_minimax
+def _two_problems():
+    """The affine forms of the corner-star and apex-160 extensions."""
+    from diamray.degeneracy import _extension_minimax
 
     return [_extension_minimax(extension_problem(cube_corner_set(), 0, 3))[0],
             _extension_minimax(extension_problem(
-                isosceles_apex_triangle(160.0), 0, 1))[0],
-            _adversary_minimax()[0]]
+                isosceles_apex_triangle(160.0), 0, 1))[0]]
 
 
 @pytest.mark.parametrize("multipliers", [np.zeros(4), np.full(4, np.nan),
@@ -307,7 +311,7 @@ def test_dual_weights_without_multipliers_are_uniform_on_the_top(multipliers):
 @pytest.mark.parametrize("beta", [4.0, 256.0])
 def test_surrogate_gradients_match_central_differences(beta):
     rng = np.random.default_rng(12)
-    for prob in _three_problems():
+    for prob in _two_problems():
         for _ in range(3):
             A = rng.standard_normal(prob.G.shape[1:])
             _, grad = prob.surrogate(A, beta)
@@ -319,7 +323,7 @@ def test_polish_jacobians_match_central_differences():
     from diamray.degeneracy import _frame, _frame_pullback
 
     rng = np.random.default_rng(14)
-    for prob in _three_problems():
+    for prob in _two_problems():
         for _ in range(3):
             A = rng.standard_normal(prob.G.shape[1:])
             Q, R = _frame(A)

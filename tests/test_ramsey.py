@@ -531,5 +531,12 @@ def test_gadget_audit_deterministic_and_guarded():
     for K in (float("nan"), float("inf"), 1e200, 1.005):
         with pytest.raises(ValueError, match=re.escape(f"K = {K}")):
             obtuse_gadget_audit(K=K, trials=10, legs=1.5)
+    # just above that radius almost nothing fits: K = 1.0065 took 3.9M
+    # draws for 10 trials and K = 1.00625 never ended; both now stop after
+    # 2^20 draws, naming the rate
+    for K in (1.00625, 1.0065):
+        with pytest.raises(ValueError, match=re.escape(f"K = {K} fits")
+                           + r" \d+ of 1048576 draws, a rate of"):
+            obtuse_gadget_audit(K=K, trials=10, legs=1.5)
     rep = obtuse_gadget_audit(K=1.02, trials=2000, seed=1, legs=1.5)
     assert (rep["trials"], rep["attempts"]) == (2000, 212992)
