@@ -2,16 +2,18 @@
 
 Every subcommand reads point sets / hypergraphs as JSON files and writes a
 single JSON document to stdout (schema-versioned). Exit codes: 0 success or
-all checks passed, 1 a check failed, 2 usage or input error. No network, no
-interactive state; a fixed seed reproduces any run bit for bit under the
-same BLAS thread count. The optimizer's low digits, and rarely whether it
-draws a retry start, depend on that count (OPENBLAS_NUM_THREADS).
+all checks passed, 1 a check failed or stdout closed early, 2 usage or
+input error. No network, no interactive state; a fixed seed reproduces any
+run bit for bit under the same BLAS thread count. The optimizer's low
+digits, and rarely whether it draws a retry start, depend on that count
+(OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coloring import chromatic_number, colorable
@@ -62,6 +64,8 @@ def _emit(doc: dict, path: str | None) -> None:
             raise CliError(f"cannot write {path}: {exc}") from exc
     else:
         print(text)
+        # a reader that closed the pipe raises here, not at exit
+        sys.stdout.flush()
 
 
 def _load_json(path: str) -> dict:
@@ -356,6 +360,10 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (`| head`): on devnull the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # a document that carries a verdict exits 1 when the check failed
     return 1 if doc.get("ok") is False else 0
 

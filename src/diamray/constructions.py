@@ -195,7 +195,8 @@ def simplex_from_sides(sides) -> SimplexSpec:
 
     A sequence of length n(n-1)/2 is read row by row: (s01, s02, ...,
     s0(n-1), s12, ...). Each side is an int, a Fraction, a 'num/den' string
-    or a finite float; squared sides are stored exactly.
+    or a finite float, and must be positive; squared sides are stored
+    exactly.
     """
     sides = list(sides)
     if not sides:
@@ -205,8 +206,12 @@ def simplex_from_sides(sides) -> SimplexSpec:
     if n * (n - 1) // 2 != m:
         raise ValueError(f"{m} side lengths do not fill an upper triangle")
     sq = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), s in zip(combinations(range(n), 2), sides):
-        sq[i][j] = sq[j][i] = _as_fraction(s) ** 2
+    for k, ((i, j), s) in enumerate(zip(combinations(range(n), 2), sides)):
+        length = _as_fraction(s)
+        # squaring would turn a negative length into a valid side
+        if length <= 0:
+            raise ValueError(f"side {k} {(i, j)} has length {s}, not positive")
+        sq[i][j] = sq[j][i] = length ** 2
     return SimplexSpec(tuple(tuple(row) for row in sq))
 
 
@@ -223,23 +228,27 @@ def _float_sq(x_sq, side) -> float:
 PSD_TOLERANCE = 1e-8
 
 
-def _from_gram(G: np.ndarray) -> PointSet:
-    """Vertex 0 at the origin and vertex i + 1 at row i of a factor of the
-    Gram matrix G, one coordinate per eigenvalue above PSD_TOLERANCE times
-    the largest, in decreasing order (ties in eigh's order)."""
-    if not len(G):
-        return PointSet.from_floats([[0.0]])
-    w, V = np.linalg.eigh(G)
-    scale = w.max()
-    if not scale > 0:
-        raise ValueError(f"largest Gram eigenvalue is {scale:.6g}, not positive: "
-                         "the squared sides vanish in floating point")
-    if w.min() < -PSD_TOLERANCE * scale:
-        raise NonRealizableError(float(w.min()))
-    keep = np.argsort(-w, kind="stable")
-    keep = keep[w[keep] > PSD_TOLERANCE * scale]
-    coords = V[:, keep] * np.sqrt(w[keep])
-    return PointSet.from_floats(np.vstack([np.zeros(len(keep)), coords]))
+def _from_gram(G: np.ndarray) -> list:
+    """One point set per Gram matrix in the stack G (k x m x m): vertex 0 at
+    the origin and vertex i + 1 at row i of a factor of the matrix, one
+    coordinate per eigenvalue above PSD_TOLERANCE times the largest, in
+    decreasing order (ties in eigh's order). One eigh call factors the whole
+    stack and gives each matrix the bits of a call of its own."""
+    if not G.shape[-1]:
+        return [PointSet.from_floats([[0.0]]) for _ in G]
+    sets = []
+    for w, V in zip(*np.linalg.eigh(G)):
+        scale = w.max()
+        if not scale > 0:
+            raise ValueError(f"largest Gram eigenvalue is {scale:.6g}, not "
+                             "positive: the squared sides vanish in floating point")
+        if w.min() < -PSD_TOLERANCE * scale:
+            raise NonRealizableError(float(w.min()))
+        keep = np.argsort(-w, kind="stable")
+        keep = keep[w[keep] > PSD_TOLERANCE * scale]
+        coords = V[:, keep] * np.sqrt(w[keep])
+        sets.append(PointSet.from_floats([[0.0] * len(keep)] + coords.tolist()))
+    return sets
 
 
 def realize(spec: SimplexSpec) -> PointSet:
@@ -252,7 +261,8 @@ def realize(spec: SimplexSpec) -> PointSet:
     """
     M = np.array([[_float_sq(x, (i, j)) for j, x in enumerate(row)]
                   for i, row in enumerate(spec.side_sq)])
-    return _from_gram((M[0, 1:, None] + M[0, None, 1:] - M[1:, 1:]) / 2.0)
+    G = (M[0, 1:, None] + M[0, None, 1:] - M[1:, 1:]) / 2.0
+    return _from_gram(G[None])[0]
 
 
 def regular_simplex(m: int, side=1.0) -> PointSet:
@@ -265,5 +275,9 @@ def regular_simplex(m: int, side=1.0) -> PointSet:
     exact = _as_fraction(side)
     if exact <= 0:
         raise ValueError("side must be positive")
-    s_sq = _float_sq(exact ** 2, side)
-    return _from_gram(s_sq / 2.0 * (np.eye(m - 1) + 1.0))
+    return _from_gram(_regular_grams(m, [_float_sq(exact ** 2, side)]))[0]
+
+
+def _regular_grams(m: int, s_sq) -> np.ndarray:
+    """The Gram matrices s^2/2 (I + J) of regular m-simplices, one per s^2."""
+    return np.multiply.outer(np.divide(s_sq, 2.0), np.eye(m - 1) + 1.0)

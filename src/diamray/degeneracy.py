@@ -394,6 +394,11 @@ def degeneracy_evidence(P: PointSet, t: int, margin: float = SUPPORT_MARGIN,
     }
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Column norms of x, adding the coordinates (rows) in sequence."""
+    return np.sqrt((x * x).sum(0))
+
+
 def _apex_configurations(rng: np.random.Generator, n: int, dim: int,
                          boundary: bool) -> tuple:
     """Draw n configurations normalised to q = 0, |q p1| = 1; keep those
@@ -403,25 +408,27 @@ def _apex_configurations(rng: np.random.Generator, n: int, dim: int,
     ball, or, for the boundary stratum, uniform on the sphere of radius
     _BOUNDARY_RADIUS, where the 150-degree bound is tight. Every sample is
     re-checked in floats with the audit's comparisons, and only the
-    passing rows of p1, p2 and p3 come back.
+    passing configurations come back, column-major: p1, p2 and p3 with
+    `dim` rows each. Draws of (n, dim) and (n, 1) arrays are read through
+    .T, and norms add coordinates in sequence, as numpy's row reductions
+    do for dim <= 7, so every value is the row-major one bit for bit.
     """
 
     def directions():
-        x = rng.standard_normal((n, dim))
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
+        x = rng.standard_normal((n, dim)).T.copy()
+        return x / _norms(x)
 
     p1, p2, p3 = directions(), directions(), directions()
     if boundary:
         p2 *= _BOUNDARY_RADIUS
         p3 *= _BOUNDARY_RADIUS
     else:
-        p2 *= rng.random((n, 1)) ** (1.0 / dim)
-        p3 *= rng.random((n, 1)) ** (1.0 / dim)
-    radius = np.linalg.norm(p1, axis=1)
-    keep = ((np.linalg.norm(p2, axis=1) <= radius)
-            & (np.linalg.norm(p3, axis=1) <= radius)
-            & (radius <= np.linalg.norm(p2 - p3, axis=1)))
-    return p1[keep], p2[keep], p3[keep]
+        p2 *= rng.random((n, 1)).T ** (1.0 / dim)
+        p3 *= rng.random((n, 1)).T ** (1.0 / dim)
+    radius = _norms(p1)
+    keep = np.flatnonzero((_norms(p2) <= radius) & (_norms(p3) <= radius)
+                          & (radius <= _norms(p2 - p3)))
+    return p1[:, keep], p2[:, keep], p3[:, keep]
 
 
 def apex_angle_audit(trials: int = 100000, seed: int = 0) -> dict:
@@ -438,7 +445,8 @@ def apex_angle_audit(trials: int = 100000, seed: int = 0) -> dict:
     tight. Batches cycle through ANGLE_DIMS, each dimension taking one
     batch of each stratum in turn. Samples that fail the float re-check of
     the hypothesis are dropped; `attempts` counts every configuration
-    drawn. A violation is an angle above 150 + ANGLE_TOL_DEGREES.
+    drawn; draws are read column-major in unchanged order. A violation is
+    an angle above 150 + ANGLE_TOL_DEGREES.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -453,20 +461,19 @@ def apex_angle_audit(trials: int = 100000, seed: int = 0) -> dict:
                                           boundary=batch % 2 == 1)
         batch += 1
         attempts += _ANGLE_BATCH
-        p1, p2, p3 = (x[: trials - accepted] for x in (p1, p2, p3))
-        if not len(p1):
+        p1, p2, p3 = (x[:, : trials - accepted] for x in (p1, p2, p3))
+        if not p1.shape[1]:
             continue
         u = p2 - p1
         v = p3 - p1
-        cos = (u * v).sum(1) / (np.linalg.norm(u, axis=1)
-                                * np.linalg.norm(v, axis=1))
+        cos = (u * v).sum(0) / (_norms(u) * _norms(v))
         angles = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
         accepted += len(angles)
         batch_max = int(np.argmax(angles))
         if angles[batch_max] > max_angle:
             max_angle = float(angles[batch_max])
-            worst = (p1[batch_max].tolist(), p2[batch_max].tolist(),
-                     p3[batch_max].tolist(), [0.0] * dim)
+            worst = (p1[:, batch_max].tolist(), p2[:, batch_max].tolist(),
+                     p3[:, batch_max].tolist(), [0.0] * dim)
         violations += int((angles > 150.0 + ANGLE_TOL_DEGREES).sum())
     return {
         "trials": accepted,

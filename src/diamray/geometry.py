@@ -266,41 +266,52 @@ def _int64_gram_array(points):
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
-    """A @ A.T, in float64 BLAS while its partial sums stay integers < 2^53."""
+    """A @ A.T (per matrix of a stack), in float64 BLAS while its partial
+    sums stay integers < 2^53."""
     if (A.dtype == np.int64 and len(A) >= _BLAS_POINTS
             and 2 * A.shape[1] * int(A.max()) ** 2 < 2 ** 53):
         gram = (F := A.astype(np.float64)) @ F.T
         # cast in place: a second n x n array would raise peak memory
         np.copyto(gram.view(np.int64), gram, casting="unsafe")
         return gram.view(np.int64)
-    return A @ A.T
+    return A @ A.swapaxes(-1, -2)
+
+
+def _sq_dists(A: np.ndarray) -> np.ndarray:
+    """Squared distances among the rows of A, or among those of each matrix
+    in a stack, from one Gram expansion |a|^2 + |b|^2 - 2 a.b. Float rows
+    are centred first, which keeps the expansion's cancellation error below
+    the distances when the set is small and far from the origin, and the
+    float result is clipped at 0 and symmetrised, with a zero diagonal."""
+    is_float = A.dtype == np.float64
+    if is_float:
+        A = A - A.mean(axis=-2, keepdims=True)
+    # a float overflow is raised below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (A * A).sum(axis=-1)
+        D = norms[..., :, None] + norms[..., None, :] - 2 * _gram(A)
+    if is_float:
+        if not np.isfinite(D).all():
+            raise ValueError("squared distances overflow a float; "
+                             "use the exact lane or rescale the points")
+        D = np.maximum(D, 0.0)
+        D = (D + D.swapaxes(-1, -2)) / 2.0
+        diagonal = np.arange(D.shape[-1])
+        D[..., diagonal, diagonal] = 0.0
+    return D
 
 
 def sq_dist_matrix(P: PointSet) -> np.ndarray:
     """Squared-distance matrix of a point set from one Gram expansion
-    |a|^2 + |b|^2 - 2 a.b, a read-only symmetric ndarray: int64, or Python
-    ints and Fractions (object dtype) in the exact lane, float64 in the
-    float lane. Float points are centred first, which keeps the expansion's
-    cancellation error below the distances when the set is small and far
-    from the origin."""
+    (`_sq_dists`), a read-only symmetric ndarray: int64, or Python ints and
+    Fractions (object dtype) in the exact lane, float64 in the float lane."""
     if P.is_exact:
         A = _int64_gram_array(P.points)
         if A is None:
             A = np.array(P.points, dtype=object)
     else:
         A = P.as_array()
-        A -= A.mean(axis=0)
-    # a float overflow is raised below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = (A * A).sum(axis=1)
-        D = norms[:, None] + norms[None, :] - 2 * _gram(A)
-    if not P.is_exact:
-        if not np.isfinite(D).all():
-            raise ValueError("squared distances overflow a float; "
-                             "use the exact lane or rescale the points")
-        D = np.maximum(D, 0.0)
-        D = (D + D.T) / 2.0
-        np.fill_diagonal(D, 0.0)
+    D = _sq_dists(A)
     D.flags.writeable = False
     return D
 

@@ -17,22 +17,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil, isfinite, prod, sqrt
 
 import numpy as np
 
 from .coloring import Coloring, colorable
-from .constructions import SimplexSpec, regular_simplex, realize
+from .constructions import (
+    SimplexSpec,
+    _from_gram,
+    _regular_grams,
+    realize,
+    regular_simplex,
+)
 from .geometry import (
     PointSet,
-    cartesian_product,
-    diameter,
     find_congruence,
     sq_dist,
     _distance_preserving_maps,
     _same_distance,
+    _sq_dists,
 )
 from .hypergraph import Hypergraph, _canonical
 
@@ -213,8 +217,8 @@ def _product_witness(side_sq, details) -> EmbeddingWitness:
     are dropped and named in `dropped_factors`; a segment is the two-vertex
     factor. Every pair is checked against `side_sq`, `measured_diam_sq_err`
     is |sum diam(f)^2 - D| / D, and the host is materialized while it has
-    at most HOST_LIMIT points, with the pattern's indices in
-    `cartesian_product`'s order (mixed radix, the last factor fastest).
+    at most HOST_LIMIT points in one product, with the pattern's indices
+    in `cartesian_product`'s order (mixed radix, the last factor fastest).
     """
     n = len(side_sq)
     pairs = list(combinations(range(n), 2))
@@ -226,28 +230,34 @@ def _product_witness(side_sq, details) -> EmbeddingWitness:
     assert a_sq + sum(x_sq.values()) == D  # exact on squared lengths
     pattern = realize(SimplexSpec(side_sq))
 
-    factors, columns, dropped = [], [], []
-    if a_sq > 0:
-        factors.append(regular_simplex(n, sqrt(float(a_sq))))
-        columns.append(range(n))
-    else:
-        dropped.append("core")
-    for (i, j), x in x_sq.items():
-        if x > 0:
-            factors.append(regular_simplex(n - 1, sqrt(float(x))))
-            others = iter(range(1, n - 1))
-            columns.append([0 if k in (i, j) else next(others) for k in range(n)])
-        else:
-            dropped.append(f"pair{(i, j)}")
+    def simplices(m, squares):
+        # side * side rounds the side's exact square, as regular_simplex does
+        sides = [sqrt(float(x)) for x in squares]
+        return _from_gram(_regular_grams(m, [s * s for s in sides]))
+
+    kept = [p for p, x in x_sq.items() if x > 0]
+    dropped = ([] if a_sq > 0 else ["core"]) + [
+        f"pair{p}" for p, x in x_sq.items() if x == 0]
+    stacks = [simplices(n, [a_sq] if a_sq > 0 else []),
+              simplices(n - 1, [x_sq[p] for p in kept])]
+    factors = stacks[0] + stacks[1]
+    columns = [range(n)] * len(stacks[0])
+    for i, j in kept:
+        others = iter(range(1, n - 1))
+        columns.append([0 if k in (i, j) else next(others) for k in range(n)])
     corners = tuple(zip(*columns))
     embedded = PointSet.from_floats(
         [sum((f.points[c] for f, c in zip(factors, col)), ()) for col in corners])
-    measured_diam_sq = sum(diameter(f).value ** 2 for f in factors)
+    # each factor's diameter as `diameter` measures it, one stack per size
+    diams = [sqrt(float(d)) for stack in stacks if stack for d in
+             _sq_dists(np.array([f.points for f in stack])).max(axis=(1, 2))]
+    measured_diam_sq = sum(d ** 2 for d in diams)
     host = idx = None
     shape = [len(f) for f in factors]
     if prod(shape) <= HOST_LIMIT:
-        host = reduce(cartesian_product, factors)
-        idx = tuple(int(np.ravel_multi_index(col, shape)) for col in corners)
+        host = PointSet.from_floats(
+            [sum(p, ()) for p in product(*(f.points for f in factors))])
+        idx = tuple(np.ravel_multi_index(columns, shape).tolist())
     checks = []
     for i, j in pairs:
         measured = float(sq_dist(embedded.points[i], embedded.points[j], False))
@@ -332,19 +342,23 @@ def near_regular_simplex_embedding(spec: SimplexSpec,
         "n": n, "a_sq": slack, "sum_side_sq": total, "condition_slack": slack})
 
 
-def _gadget_placements(rng, batch: int, offsets: np.ndarray, K: float) -> tuple:
+def _gadget_placements(rng, batch: int, dim: int, h: float, K: float) -> tuple:
     """The placements inside the K-ball among `batch` midpoints m drawn
-    uniform in the ball of radius sqrt(K^2 - 1): their midpoints, and the
-    squared norms |m + o|^2 of the vertices, one column per row o of
-    `offsets`."""
-    dim = offsets.shape[1]
-    dirs = rng.standard_normal((batch, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    m = dirs * (sqrt(K * K - 1.0) * rng.random(batch) ** (1.0 / dim))[:, None]
-    sq = (np.einsum("ij,ij->i", m, m)[:, None] + 2.0 * (m @ offsets.T)
-          + (offsets * offsets).sum(1))
-    keep = (sq <= K * K).all(1)
-    return m[keep], sq[keep]
+    uniform in the ball of radius sqrt(K^2 - 1), column-major: the kept
+    midpoints as `dim` rows, and the squared norms of m - e1, m + h e2 and
+    m + e1 as 3 rows. Sums over coordinates add them in the order numpy's
+    row reductions of a (batch, dim) draw do, so for dim <= 7 every value
+    is the row-major one bit for bit: |x|^2 in sequence, |m|^2 as einsum
+    pairs them (even coordinates, then odd)."""
+    x = rng.standard_normal((batch, dim)).T.copy()
+    m = x / np.sqrt((x * x).sum(0)) * (sqrt(K * K - 1.0)
+                                       * rng.random(batch) ** (1.0 / dim))
+    mm = m * m
+    mm = mm[0::2].sum(0) + mm[1::2].sum(0)
+    sq = (mm + 2.0 * np.stack((-m[0], h * m[1], m[0]))
+          + np.array([[1.0], [h * h], [1.0]]))
+    keep = np.flatnonzero((sq <= K * K).all(0))
+    return m[:, keep], sq[:, keep]
 
 
 def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
@@ -362,7 +376,8 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
     same for every rotation, so the squared norms have the law of a random
     rotation and translation without drawing the rotation. By the
     parallelogram law |m -+ e1| <= K implies |m|^2 <= K^2 - 1, so that
-    ball holds every feasible midpoint. `attempts` counts the draws.
+    ball holds every feasible midpoint. `attempts` counts the draws, which
+    are read column-major in unchanged order (see _gadget_placements).
 
     Pass `legs` to audit a different isosceles triangle with base 2. The
     bound only protects apex heights below 1/(4K); legs of 1 + xi, say, put
@@ -404,18 +419,18 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
                              f"a rate of {accepted / attempts:.3g} below "
                              f"{_GADGET_MIN_RATE:.3g}: too close to the "
                              f"enclosing radius {radius:.6g}")
-        m, sq = (x[: trials - accepted]
-                 for x in _gadget_placements(rng, _GADGET_BATCH, offsets, K))
+        m, sq = (x[:, : trials - accepted] for x in
+                 _gadget_placements(rng, _GADGET_BATCH, dim, h, K))
         attempts += _GADGET_BATCH
-        accepted += len(m)
+        accepted += m.shape[1]
         two_sq = 2.0 * sq
-        near = (np.abs(two_sq - np.round(two_sq)) < BOUNDARY_TOL).any(1)
+        near = (np.abs(two_sq - np.round(two_sq)) < BOUNDARY_TOL).any(0)
         flagged += int(near.sum())
         cols = np.floor(two_sq).astype(np.int64) % 8
-        bad = ~near & (cols == cols[:, :1]).all(1)
+        bad = ~near & (cols == cols[0]).all(0)
         mono += int(bad.sum())
-        failures += [dict(zip("abc", (m[i] + offsets).tolist()),
-                          color=int(cols[i, 0])) for i in np.nonzero(bad)[0][:3]]
+        failures += [dict(zip("abc", (m[:, i] + offsets).tolist()),
+                          color=int(cols[0, i])) for i in np.nonzero(bad)[0][:3]]
     return {
         "K": K,
         "xi": xi,

@@ -1,6 +1,9 @@
 """CLI surface: subcommands, JSON round-trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -326,6 +329,9 @@ def test_malformed_values_exit_2(tmp_path, capsys):
             (["construct", "simplex", "--sides", "1,1,1/0"], "1/0"),
             (["construct", "simplex", "--sides", "inf,1,1"], "inf"),
             (["construct", "simplex", "--sides", ","], "comma-separated"),
+            # a negative length used to be squared into a valid side
+            (["embed", "--sides=1,1,-1"], "side 2 (1, 2) has length -1"),
+            (["construct", "simplex", "--sides=-1,2,2"], "side 0"),
             # squares too large for a float
             (["construct", "simplex", "--vertices", "3", "--side", "1e200"],
              "side 1e+200"),
@@ -482,3 +488,21 @@ def test_verify_paper_seed_stability(capsys):
     s0 = {c["check_id"]: c["status"] for c in doc0["checks"]}
     s1 = {c["check_id"]: c["status"] for c in doc1["checks"]}
     assert s0 == s1
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    import diamray
+
+    # kk -n 6 prints about 300 KB, far past a 64 KB pipe buffer, so the
+    # write meets the closed pipe; it used to print a BrokenPipeError
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(diamray.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diamray.cli", "construct", "kk", "-n", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b"{") and err == b""

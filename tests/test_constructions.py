@@ -295,7 +295,8 @@ def test_gram_routes_match_the_loop_reference():
         M = [[float(x) for x in row] for row in spec.side_sq]
         G = np.array([[(M[0][i] + M[0][j] - M[i][j]) / 2.0 for j in range(1, n)]
                       for i in range(1, n)])
-        assert realize(spec).points == _from_gram(G).points
+        # _from_gram takes a stack of Gram matrices: here, one
+        assert realize(spec).points == _from_gram(G[None])[0].points
     # s^2/2 (I + J) is that Gram matrix for equal sides, to the last bit
     for m in range(2, 9):
         for side in (1.0, 2.5, 1e-5, 1e5, sqrt(2), Fraction(7, 3)):

@@ -240,6 +240,18 @@ def test_apex_angle_audit_draws_at_most_twice_its_trials():
     assert rep["attempts"] <= 2 * rep["trials"]
 
 
+@pytest.mark.parametrize("trials, seed, attempts, max_angle", [
+    (100000, 10010, 155648, 149.99994566702503),
+    (777, 3, 8192, 144.3952894906373),
+])
+def test_apex_angle_audit_reports_are_pinned(trials, seed, attempts, max_angle):
+    # values of the row-major sampler; the column-major one reads the same
+    # draws and adds in the same order, so every bit must agree
+    rep = apex_angle_audit(trials, seed)
+    assert (rep["trials"], rep["attempts"]) == (trials, attempts)
+    assert rep["max_angle"] == max_angle and rep["violations"] == 0
+
+
 def test_apex_angle_audit_refuses_negative_trials():
     # it used to report ok with 0 trials; its sibling audits raise
     with pytest.raises(ValueError, match="trials must be >= 0"):
@@ -251,8 +263,9 @@ def test_apex_angle_audit_refuses_negative_trials():
 def test_apex_configurations_satisfy_hypothesis(dim, boundary):
     from diamray.degeneracy import _apex_configurations
 
-    p1, p2, p3 = _apex_configurations(np.random.default_rng(dim), 4096, dim,
-                                      boundary)
+    # the sampler is column-major: one row per coordinate
+    p1, p2, p3 = (p.T for p in _apex_configurations(
+        np.random.default_rng(dim), 4096, dim, boundary))
     assert len(p1) > 1000 and p1.shape == p2.shape == p3.shape == (len(p1), dim)
     # q is the origin
     r = np.linalg.norm(p1, axis=1)

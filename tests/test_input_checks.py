@@ -57,6 +57,11 @@ _CASES = {
     "off-diagonal sides must be positive":
         lambda: SimplexSpec(((0, 0), (0, 0))),
     "empty side list": lambda: simplex_from_sides([]),
+    # squaring used to turn -1 into a unit side
+    "side 2 (1, 2) has length -1, not positive":
+        lambda: simplex_from_sides([1, 1, -1]),
+    "side 0 (0, 1) has length 0, not positive":
+        lambda: simplex_from_sides(["0", 2, 2]),
     "need at least one vertex": lambda: regular_simplex(0),
     # ramsey
     "pattern larger than host":

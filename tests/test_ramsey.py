@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import sqrt
 
@@ -16,6 +17,7 @@ from diamray import (
     acute_triangle_embedding,
     arrows,
     brick,
+    cartesian_product,
     sq_dist_matrix,
     congruent_copies,
     diameter,
@@ -256,6 +258,53 @@ def test_every_factor_is_a_regular_simplex():
             assert all(abs(x - sq[0]) <= f.tolerance * sq[0] for x in sq), sq
 
 
+def _one_factor_reference(w):
+    """w's factors and diameter error built one factor at a time: a
+    regular_simplex per factor, from the exact squared sides that w's pair
+    checks carry, and a `diameter` per factor."""
+    s = [c.expected_sq for c in w.pair_checks]
+    n, D = len(w.pattern), w.diam_sq
+    a_sq = sum(s) - (len(s) - 1) * D
+    squares = [(n, a_sq)] if a_sq > 0 else []
+    squares += [(n - 1, D - x) for x in s if D - x > 0]
+    factors = [regular_simplex(m, sqrt(float(x))) for m, x in squares]
+    err = abs(sum(diameter(f).value ** 2 for f in factors) - float(D)) / float(D)
+    return factors, err
+
+
+def test_batched_witness_equals_the_one_factor_path():
+    # the factors come from two stacked eigh calls, the diameters from one
+    # stacked Gram expansion and the host from one product; each must equal
+    # the one-factor route bit for bit
+    rng = np.random.default_rng(2024)
+    witnesses = [right_triangle_embedding(*legs) for legs in
+                 ((3, 4), (1, 1), (1, 0), ("1/3", 5))]
+    witnesses += [acute_triangle_embedding(*sides) for sides in
+                  ((4, 5, 6), (1, 2, 2), (1, 1, 1), (3, 4, 5), ("7/5", 1, 1))]
+    specs = 0
+    while specs < 300:
+        n = int(rng.integers(2, 7))
+        if rng.random() < 0.3:  # repeated sides drop factors
+            sides = rng.choice([0.98, 0.99, 1.0], size=n * (n - 1) // 2)
+        else:
+            sides = rng.uniform(0.97, 1.0, size=n * (n - 1) // 2)
+        try:
+            witnesses.append(near_regular_simplex_embedding(
+                simplex_from_sides(sides.tolist())))
+        except EmbeddingConditionError:
+            continue
+        specs += 1
+    hosts = 0
+    for w in witnesses:
+        factors, err = _one_factor_reference(w)
+        assert [f.points for f in w.factors] == [f.points for f in factors]
+        assert w.details["measured_diam_sq_err"] == err
+        if w.host is not None:
+            assert w.host == reduce(cartesian_product, w.factors)
+            hosts += 1
+    assert hosts > 100
+
+
 def test_acute_triangles_are_the_three_vertex_near_regular_case():
     # a^2 + b^2 >= c^2 is the near-regular condition at n = 3, and both
     # routes build the same product
@@ -330,10 +379,10 @@ def _rotated_gadget_squares(K, h, n, seed, dim=3):
 
 def _framed_gadget_squares(K, h, n, seed):
     rng = np.random.default_rng(seed)
-    offsets = np.array([[-1.0, 0.0, 0.0], [0.0, h, 0.0], [1.0, 0.0, 0.0]])
     kept = []
     while sum(map(len, kept)) < n:
-        kept.append(_gadget_placements(rng, 4096, offsets, K)[1])
+        # the sampler is column-major: one row per vertex
+        kept.append(_gadget_placements(rng, 4096, 3, h, K)[1].T)
     return np.concatenate(kept)[:n]
 
 
@@ -540,3 +589,25 @@ def test_gadget_audit_deterministic_and_guarded():
             obtuse_gadget_audit(K=K, trials=10, legs=1.5)
     rep = obtuse_gadget_audit(K=1.02, trials=2000, seed=1, legs=1.5)
     assert (rep["trials"], rep["attempts"]) == (2000, 212992)
+
+
+@pytest.mark.parametrize("kwargs, expected", [
+    ({"K": 2.0, "trials": 100000, "seed": 11, "legs": 1 + 1 / 68},
+     {"attempts": 212992, "monochromatic": 31, "first_failure": {
+         "a": [-0.9783548509116967, 1.6644763175958697, -0.35961886339217425],
+         "b": [0.021645149088303253, 1.836604257459393, -0.35961886339217425],
+         "c": [1.0216451490883032, 1.6644763175958697, -0.35961886339217425],
+         "color": 7}}),
+    ({"K": 1.02, "trials": 2000, "seed": 1, "legs": 1.5},
+     {"attempts": 212992, "monochromatic": 484}),
+    ({"dim": 2, "legs": 1.3, "trials": 30000, "seed": 7},
+     {"attempts": 65536, "monochromatic": 115}),
+])
+def test_gadget_audit_reports_are_pinned(kwargs, expected):
+    # values of the row-major sampler; the column-major one reads the same
+    # draws and adds in the same order, so every bit must agree
+    rep = obtuse_gadget_audit(**kwargs)
+    assert rep["attempts"] == expected["attempts"]
+    assert rep["monochromatic"] == expected["monochromatic"]
+    if "first_failure" in expected:
+        assert rep["failures"][0] == expected["first_failure"]
