@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, isqrt, prod, sqrt
+from operator import index
 
 import numpy as np
 
@@ -48,11 +49,14 @@ def _same_distance(x: float, y: float, eps: float) -> bool:
 
 
 def parse_exact(value) -> int | Fraction:
-    """Parse an exact scalar from an int, Fraction, or 'num/den' string."""
+    """Parse an exact scalar from an int, a numpy integer, a Fraction, or a
+    'num/den' string."""
     if isinstance(value, bool):
         raise TypeError("booleans are not coordinates")
     if isinstance(value, int):
         return value
+    if isinstance(value, np.integer):
+        return index(value)
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):

@@ -47,7 +47,7 @@ from .degeneracy import (
     min_extension_diameter,
     star_witness_values,
 )
-from .geometry import PointSet, circumcenter, diameter, find_congruence, sq_dist
+from .geometry import PointSet, circumcenter, diameter, find_congruence, sq_dist_matrix
 from .hypergraph import (
     Hypergraph,
     clique_hypergraph,
@@ -192,18 +192,15 @@ def check_partition_distance_formula(params: dict, seed: int):
     checked = 0
     for n in KK_NS:
         P = kahn_kalai_set(n)
-        blocks = kahn_kalai_blocks(n)
-        m = len(P)
-        for _ in range(KK_PAIRS):
-            i, j = rng.integers(0, m, size=2)
-            if i == j:
-                continue
-            t = len(blocks[i] & blocks[j])
-            expected = 2 * n * n - 2 * (t * t + (n - t) * (n - t))
-            got = sq_dist(P.points[i], P.points[j], True)
-            checked += 1
-            if got != expected:
-                mismatches += 1
+        member = np.array([[e in X for e in range(1, 2 * n + 1)]
+                           for X in kahn_kalai_blocks(n)])
+        # one draw of shape (KK_PAIRS, 2) is the stream of KK_PAIRS draws of 2
+        pairs = rng.integers(0, len(P), size=(KK_PAIRS, 2))
+        i, j = pairs[pairs[:, 0] != pairs[:, 1]].T
+        t = (member[i] & member[j]).sum(axis=1)
+        expected = 2 * n * n - 2 * (t * t + (n - t) * (n - t))
+        checked += len(i)
+        mismatches += int((sq_dist_matrix(P)[i, j] != expected).sum())
     return mismatches == 0, {"pairs_checked": checked, "mismatches": mismatches}
 
 

@@ -185,3 +185,42 @@ def test_check_times_sum_to_the_call(monkeypatch):
 def test_verify_paper_knows_two_suites():
     with pytest.raises(ValueError, match="'fast' or 'full'"):
         verify.verify_paper("medium")
+
+
+def _per_draw_pairs(seed):
+    """Distinct pairs over all n when each pair is its own draw of size 2."""
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for n in verify.KK_NS:
+        m = len(kahn_kalai_blocks(n))
+        for _ in range(verify.KK_PAIRS):
+            i, j = rng.integers(0, m, size=2)
+            checked += int(i != j)
+    return checked
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_distance_formula_draws_the_per_pair_stream(seed):
+    # one draw of shape (KK_PAIRS, 2) per n gives the same pairs, and leaves
+    # the stream at the same place for the next n
+    _, details = verify.check_partition_distance_formula(verify.FAST, seed)
+    assert details == {"pairs_checked": _per_draw_pairs(seed), "mismatches": 0}
+
+
+def test_distance_formula_catches_a_wrong_distance(monkeypatch):
+    # point 0 of the n = 4 set with its first coordinate flipped: every drawn
+    # pair with point 0 is then off by one
+    real = verify.kahn_kalai_set
+
+    def flipped(n):
+        P = real(n)
+        if n != 4:
+            return P
+        first = (1 - P.points[0][0], *P.points[0][1:])
+        return type(P)((first, *P.points[1:]), P.mode, P.labels)
+
+    _, want = verify.check_partition_distance_formula(verify.FULL, 2024)
+    monkeypatch.setattr(verify, "kahn_kalai_set", flipped)
+    ok, details = verify.check_partition_distance_formula(verify.FULL, 2024)
+    assert not ok and details["mismatches"] > 0
+    assert details["pairs_checked"] == want["pairs_checked"]

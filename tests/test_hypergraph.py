@@ -26,6 +26,7 @@ from diamray import (
     regular_simplex,
     verify_intersection_fact,
 )
+from diamray import hypergraph
 from diamray.hypergraph import _ARRAY_PAIRS, _clique_rows, _r_cliques
 
 
@@ -457,3 +458,43 @@ def test_kk6_h3_array_path_matches_bitset_slow():
     want = _r_cliques(G.n_vertices, G.edges, 3)
     assert H.n_edges == len(want) == 1262800
     assert list(H.edges) == want
+
+
+def _brute_force_fact(blocks, H, r):
+    """verify_intersection_fact's direct route as an exhaustive loop."""
+    half = len(next(iter(blocks))) // 2
+    direct = {f for f in combinations(range(len(blocks)), r)
+              if all(len(blocks[i] & blocks[j]) == half
+                     for i, j in combinations(f, 2))}
+    cliques = set(H.edges)
+    return {"direct_count": len(direct), "match": direct == cliques,
+            "missing_from_cliques": sorted(direct - cliques)[:3],
+            "not_in_direct": sorted(cliques - direct)[:3]}
+
+
+@pytest.mark.parametrize("n,r", [(2, 2), (2, 3), (4, 2), (4, 3), (4, 4)])
+def test_intersection_fact_matches_brute_force(n, r):
+    rep = verify_intersection_fact(n, r)
+    want = _brute_force_fact(kahn_kalai_blocks(n),
+                             diameter_hypergraph(kahn_kalai_set(n), r), r)
+    assert {k: rep[k] for k in want} == want
+    assert rep["match"] and rep["hyperedge_count"] == rep["direct_count"]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_intersection_fact_names_families_of_swapped_blocks(r, monkeypatch):
+    # block 9, {1, 2, 5, 6}, meets block 0 in two elements but block 1 in
+    # three, so swapping blocks 0 and 1 moves families both ways
+    blocks = kahn_kalai_blocks(4)
+    blocks[0], blocks[1] = blocks[1], blocks[0]
+    monkeypatch.setattr(hypergraph, "kahn_kalai_blocks", lambda n: blocks)
+    rep = verify_intersection_fact(4, r)
+    want = _brute_force_fact(blocks, diameter_hypergraph(kahn_kalai_set(4), r), r)
+    assert not rep["match"]
+    assert rep["missing_from_cliques"] and rep["not_in_direct"]
+    assert {k: rep[k] for k in want} == want
+
+
+def test_intersection_fact_still_needs_r_of_two():
+    with pytest.raises(ValueError, match="r must be >= 2"):
+        verify_intersection_fact(4, 1)

@@ -24,6 +24,7 @@ from diamray import (
     right_triangle_embedding,
     segment,
     simplex_from_sides,
+    sq_dist_matrix,
     star_witness_values,
 )
 
@@ -88,4 +89,36 @@ _CASES = {
 def test_bad_input_raises_value_error(message):
     with pytest.raises(ValueError) as exc:
         _CASES[message]()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint32])
+def test_exact_points_take_numpy_integers(dtype):
+    pts = np.array([[0, 1, 3], [1, 0, 2], [2, 2, 0]], dtype=dtype)
+    P = PointSet.exact(pts)
+    assert P.points == ((0, 1, 3), (1, 0, 2), (2, 2, 0))
+    assert {type(x) for p in P.points for x in p} == {int}
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 40], ids=["int64-lane", "object-lane"])
+def test_an_int_array_and_its_list_give_one_distance_matrix(scale):
+    # scale 1 takes the int64 lane; at 2^40 the int64 Gram expansion could
+    # overflow, so both take the Python-int (object) lane
+    pts = np.array([[0, 1, 3], [1, 0, 2], [2, 2, 0], [3, 1, 1]]) * scale
+    from_array = sq_dist_matrix(PointSet.exact(pts))
+    from_list = sq_dist_matrix(PointSet.exact(pts.tolist()))
+    assert from_array.dtype == from_list.dtype
+    assert from_array.dtype == (np.int64 if scale == 1 else object)
+    assert np.array_equal(from_array, from_list)
+
+
+@pytest.mark.parametrize("value,message", [
+    (True, "booleans are not coordinates"),
+    (np.True_, "not an exact scalar: np.True_ (floats need float mode)"),
+    (np.float64(1.0), "not an exact scalar: np.float64(1.0) (floats need float mode)"),
+    (np.float32(2.0), "not an exact scalar: np.float32(2.0) (floats need float mode)"),
+])
+def test_exact_points_refuse_bools_and_numpy_floats(value, message):
+    with pytest.raises(TypeError) as exc:
+        PointSet.exact([[0], [value]])
     assert str(exc.value) == message
