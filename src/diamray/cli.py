@@ -47,15 +47,16 @@ from .ramsey import (
 )
 from .verify import verify_paper
 
-import numpy as np
-
 
 class CliError(Exception):
     """Usage or input problem; exits with status 2, as does a ValueError."""
 
 
 def _emit(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise CliError(f"result is not valid JSON: {exc}") from exc
     if path:
         try:
             with open(path, "w") as fh:
@@ -220,8 +221,8 @@ def _cmd_t5_witness(args) -> dict:
         "dim": args.dim,
         "seed": args.seed,
         "failures": failures,
-        "min_coordinate": float(values.min(initial=np.inf)),
-        "max_coordinate": float(values.max(initial=-np.inf)),
+        "min_coordinate": float(values.min()) if len(values) else None,
+        "max_coordinate": float(values.max()) if len(values) else None,
         "ok": failures == 0,
     }
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import cos, isfinite, pi, radians, sin, sqrt
 
@@ -43,7 +42,7 @@ def brick(lengths) -> PointSet:
     lengths = list(lengths)
     if not lengths:
         raise ValueError("brick needs at least one side length")
-    return reduce(cartesian_product, (segment(l) for l in lengths))
+    return cartesian_product(*(segment(l) for l in lengths))
 
 
 def _set_label(elems) -> str:

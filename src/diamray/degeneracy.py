@@ -6,8 +6,8 @@ union. Placements are parametrized by an orthonormal m x t frame Q (the QR
 factor of a free matrix, signs fixed so diag(R) > 0), so the simplex
 constraints hold to machine precision by construction.
 
-The extension problem minimizes, over frames Q, the largest of the affine
-values c_k - <G_k, Q> (_FrameMinimax), the squared distances from the
+The extension problem (_Extension) minimizes, over frames Q, the largest
+of the affine values c_k - <G_k, Q>, the squared distances from the
 simplex to the base; the far-pair adversary is the corner-star extension
 read in coordinates. One driver (_minimize) runs L-BFGS-B on a softmax of
 the values, at one sharpness relative to the problem's scale, from random
@@ -26,14 +26,16 @@ by the dilation of a contraction, so the bound is tight and the polished
 placement meets it. A result is certified when the placement and the bound
 agree to CERTIFY_GAP.
 
-SUPPORTED verdicts rest on the certified lower bound; REFUTED verdicts
-exhibit an explicit placement. SciPy is imported on the first optimizer call.
+SUPPORTED verdicts rest on the certified lower bound, not on the number of
+starts, so one start is the default (DEFAULT_RESTARTS), and a result left
+uncertified draws one more; REFUTED verdicts exhibit an explicit
+placement. SciPy is imported on the first optimizer call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import combinations
 from math import isfinite, sqrt
 
 import numpy as np
@@ -41,7 +43,7 @@ import numpy as np
 from .constructions import cube_corner_set, regular_simplex
 from .geometry import PointSet, _frame, diameter, random_orthogonal
 
-DEFAULT_RESTARTS = 50
+DEFAULT_RESTARTS = 1
 STAR_DIM = 9  # the star in R^6 and its 3-point extensions: R^6 + 3
 SUPPORT_MARGIN = 1e-4
 REFUTE_TOLERANCE = 1e-6
@@ -131,23 +133,33 @@ def _frame_pullback(Q: np.ndarray, R: np.ndarray,
     return np.swapaxes(np.linalg.solve(R, np.swapaxes(X, -1, -2)), -1, -2)
 
 
-@dataclass(frozen=True)
-class _FrameMinimax:
-    """Minimize, over orthonormal m x t frames Q, the largest affine value
-    c_k - <G_k, Q>.
+class _Extension:
+    """The extension problem in affine form: minimize, over orthonormal
+    m x t frames Q, the largest value c_k - <G_k, Q>.
 
-    The values are the extension's squared distances (_extension_minimax).
-    objective(Q) is the union's diameter at frame Q, and report(v) maps a
-    value v onto its scale, monotonely; objective(Q) is
-    report(values(Q).max()) up to rounding. `scale` is the problem's unit
-    of value (side^2): the softmax runs at sharpness beta / scale.
+    With anchor a, free vertices p_i = a + Q F_i for the rows F_i of the
+    anchored simplex, and base vectors w_j = b_j - a, the squared distance
+    |p_i - b_j|^2 is c_ij - <G_ij, Q> with c_ij = |F_i|^2 + |w_j|^2 and
+    G_ij = 2 w_j F_i^T. objective(Q) is the union's diameter, never below
+    `floor` = diam(base), and report(v) maps a squared distance v onto that
+    scale, monotonely; objective(Q) is report(values(Q).max()) up to
+    rounding. `scale` (side^2) is the problem's unit of value: the softmax
+    runs at sharpness beta / scale.
     """
 
-    c: np.ndarray  # (k,)
-    G: np.ndarray  # (k, m, t)
-    scale: float
-    objective: Callable
-    report: Callable
+    def __init__(self, prob: ExtensionProblem):
+        m, t = prob.ambient_dim, prob.t
+        self.base = np.zeros((len(prob.base), m))
+        self.base[:, :prob.base.dim] = prob.base.as_array()
+        self.anchor = self.base[prob.anchor]
+        self.F = _anchored_frame(t, prob.side)
+        self.side, self.scale = prob.side, prob.side ** 2
+        self.floor = max(prob.side, diameter(prob.base).value)
+        W = self.base - self.anchor
+        self.c = ((self.F * self.F).sum(axis=1)[:, None]
+                  + (W * W).sum(axis=1)[None, :]).ravel()
+        self.G = (2.0 * W[None, :, :, None]
+                  * self.F[:, None, None, :]).reshape(-1, m, t)
 
     def values(self, Q: np.ndarray) -> np.ndarray:
         return self.c - self.G.reshape(len(self.c), -1) @ Q.ravel()
@@ -180,8 +192,19 @@ class _FrameMinimax:
         return (float(lam @ self.c) - nuclear
                 - slack * (float(lam @ np.abs(self.c)) + nuclear))
 
+    def simplex(self, Q: np.ndarray) -> np.ndarray:
+        """The simplex's vertices at frame Q, the anchor first."""
+        return np.vstack([self.anchor, self.anchor + self.F @ Q.T])
 
-def _epigraph_polish(prob: _FrameMinimax, A0: np.ndarray) -> tuple:
+    def objective(self, Q: np.ndarray) -> float:
+        diff = self.simplex(Q)[1:, None, :] - self.base[None, :, :]
+        return max(self.floor, float(np.sqrt((diff * diff).sum(axis=2)).max()))
+
+    def report(self, v: float) -> float:
+        return max(self.floor, sqrt(max(v, 0.0)))
+
+
+def _epigraph_polish(prob: _Extension, A0: np.ndarray) -> tuple:
     """Minimize the largest of prob.values(Q) over frames Q = _frame(A) by
     SLSQP.
 
@@ -237,8 +260,8 @@ def _certified(lower: float, upper: float) -> bool:
     return upper - lower <= CERTIFY_GAP * max(1.0, abs(upper))
 
 
-def _minimize(prob: _FrameMinimax, restarts: int,
-              rng: np.random.Generator) -> tuple:
+def _minimize(prob: _Extension, restarts: int,
+              rng: np.random.Generator) -> ExtensionResult:
     """Minimize prob.objective over frames; the one optimizer driver.
 
     Each start draws A from rng.standard_normal(m * t) and runs L-BFGS-B on
@@ -247,10 +270,7 @@ def _minimize(prob: _FrameMinimax, restarts: int,
     and the polish's multipliers weight the duality bound. When the bound
     and the objective do not meet, one more start is drawn from the same
     generator and polished, and the smaller objective and the larger bound
-    are kept. Returns the best frame, its objective, the reported bound
-    beneath it, every start's objective, and the numbers of evaluations
-    (surrogate calls plus polish constraint evaluations) and of gradients
-    (surrogate calls plus polish constraint Jacobians).
+    are kept.
     """
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
@@ -292,41 +312,14 @@ def _minimize(prob: _FrameMinimax, restarts: int,
             best_val, best_Q = val, Q
         if _certified(lower, best_val):
             break
-    return (best_Q, best_val, lower, tuple(restart_values),
-            calls + evaluations, calls + jacobians)
-
-
-def _extension_minimax(prob: ExtensionProblem) -> tuple:
-    """The affine form of prob, and the map from a frame Q to the simplex's
-    vertices, the anchor first.
-
-    With anchor a, free vertices p_i = a + Q F_i for the rows F_i of the
-    anchored simplex, and base vectors w_j = b_j - a, the squared distance
-    |p_i - b_j|^2 is c_ij - <G_ij, Q> with c_ij = |F_i|^2 + |w_j|^2 and
-    G_ij = 2 w_j F_i^T. The objective is the diameter of the union, never
-    below diam(base); the bound on it is the square root of the bound on
-    the squared distances.
-    """
-    m, t = prob.ambient_dim, prob.t
-    base = np.zeros((len(prob.base), m))
-    base[:, :prob.base.dim] = prob.base.as_array()
-    anchor = base[prob.anchor]
-    W = base - anchor
-    F = _anchored_frame(t, prob.side)
-    floor = max(prob.side, diameter(prob.base).value)
-
-    def simplex(Q):
-        return np.vstack([anchor, anchor + F @ Q.T])
-
-    def union_diameter(Q):
-        diff = simplex(Q)[1:, None, :] - base[None, :, :]
-        return max(floor, float(np.sqrt((diff * diff).sum(axis=2)).max()))
-
-    c = ((F * F).sum(axis=1)[:, None] + (W * W).sum(axis=1)[None, :]).ravel()
-    G = 2.0 * W[None, :, :, None] * F[:, None, None, :]
-    return _FrameMinimax(c, G.reshape(-1, m, t), prob.side ** 2,
-                         union_diameter,
-                         lambda v: max(floor, sqrt(max(v, 0.0)))), simplex
+    pts = prob.simplex(best_Q)
+    feas = max(abs(float(np.linalg.norm(pts[i] - pts[j])) - prob.side)
+               for i, j in combinations(range(len(pts)), 2))
+    return ExtensionResult(best_val, PointSet.from_floats(pts),
+                           tuple(restart_values), feas,
+                           evaluations=calls + evaluations,
+                           gradients=calls + jacobians, lower=lower,
+                           certified=_certified(lower, best_val))
 
 
 def min_extension_diameter(prob: ExtensionProblem,
@@ -339,17 +332,7 @@ def min_extension_diameter(prob: ExtensionProblem,
     the duality bound beneath it. The placement is feasible to machine
     precision by the frame parametrization.
     """
-    problem, simplex = _extension_minimax(prob)
-    Q, value, lower, values, evaluations, gradients = _minimize(
-        problem, restarts, np.random.default_rng(seed))
-    pts = simplex(Q)
-    feas = 0.0
-    for i in range(prob.t + 1):
-        for j in range(i + 1, prob.t + 1):
-            feas = max(feas, abs(float(np.linalg.norm(pts[i] - pts[j])) - prob.side))
-    return ExtensionResult(value, PointSet.from_floats(pts), values, feas,
-                           evaluations=evaluations, gradients=gradients,
-                           lower=lower, certified=_certified(lower, value))
+    return _minimize(_Extension(prob), restarts, np.random.default_rng(seed))
 
 
 def degeneracy_evidence(P: PointSet, t: int, margin: float = SUPPORT_MARGIN,

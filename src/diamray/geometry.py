@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isfinite, isqrt, prod, sqrt
 from operator import index
 
@@ -376,17 +377,20 @@ def diameter(P: PointSet) -> DiameterInfo:
                                        for i, j in (pairs, near)))
 
 
-def cartesian_product(P: PointSet, Q: PointSet) -> PointSet:
-    """Cartesian product set: coordinates concatenated, |P|*|Q| points,
-    unlabelled.
+def cartesian_product(*sets: PointSet) -> PointSet:
+    """Cartesian product set: coordinates concatenated, |P_1|...|P_k| points
+    with the last set varying fastest, unlabelled.
 
-    The squared diameter of the product is diam^2(P) + diam^2(Q).
+    The squared diameter of the product is the sum of the sets' squared
+    diameters.
     """
-    mode = EXACT if (P.is_exact and Q.is_exact) else FLOAT
-    pts = [tuple(p) + tuple(q) for p in P.points for q in Q.points]
+    if not sets:
+        raise ValueError("cartesian_product needs at least one set")
+    mode = EXACT if all(P.is_exact for P in sets) else FLOAT
+    pts = [sum(p, ()) for p in product(*(P.points for P in sets))]
     if mode == FLOAT:
         pts = [tuple(map(float, p)) for p in pts]
-    return PointSet(tuple(pts), mode, None, max(P.tolerance, Q.tolerance))
+    return PointSet(tuple(pts), mode, None, max(P.tolerance for P in sets))
 
 
 def _pattern_order(rows) -> list:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import ceil, isfinite, prod, sqrt
 
 import numpy as np
@@ -32,6 +32,7 @@ from .constructions import (
 )
 from .geometry import (
     PointSet,
+    cartesian_product,
     find_congruence,
     sq_dist,
     _distance_preserving_maps,
@@ -255,8 +256,7 @@ def _product_witness(side_sq, details) -> EmbeddingWitness:
     host = idx = None
     shape = [len(f) for f in factors]
     if prod(shape) <= HOST_LIMIT:
-        host = PointSet.from_floats(
-            [sum(p, ()) for p in product(*(f.points for f in factors))])
+        host = cartesian_product(*factors)
         idx = tuple(np.ravel_multi_index(columns, shape).tolist())
     checks = []
     for i, j in pairs:

@@ -3,12 +3,12 @@
 Every check exercises one of the headline constructions or inequalities at
 desk scale and reports pass/fail with a structured payload. The fast suite
 trims sample counts; `FULL` is what the acceptance tests run, each check
-once with a fixed seed. Both suites run the extension optimizer from one
-start, because its verdicts rest on a duality certificate, not on the
-number of restarts. Checks are deterministic given the seed and the BLAS
-thread count, and a seed change may alter sampled instances but never a
-verdict. The thread count changes the optimizer's low digits, and rarely
-whether it draws a retry start, but not a verdict.
+once with a fixed seed. Both suites run the extension optimizer at its
+default of one start, and read its verdict thresholds from `degeneracy`.
+Checks are deterministic given the seed and the BLAS thread count, and a
+seed change may alter sampled instances but never a verdict. The thread
+count changes the optimizer's low digits, and rarely whether it draws a
+retry start, but not a verdict.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .constructions import (
     simplex_from_sides,
 )
 from .degeneracy import (
+    REFUTE_TOLERANCE,
+    SUPPORT_MARGIN,
     apex_angle_audit,
     degeneracy_evidence,
     extension_problem,
@@ -314,9 +316,8 @@ def check_triangle_embeddings(params: dict, seed: int):
 
 def check_apex_degeneracy(params: dict, seed: int):
     tri160 = isosceles_apex_triangle(160.0)
-    res160 = min_extension_diameter(extension_problem(tri160, 0, 1),
-                                    restarts=1, seed=seed)
-    supported = res160.lower > 1.0 + 1e-4
+    res160 = min_extension_diameter(extension_problem(tri160, 0, 1), seed=seed)
+    supported = res160.lower > 1.0 + SUPPORT_MARGIN
     # second route: the in-plane bisector placement, with the leg l
     leg = 1.0 / (2.0 * sin(radians(80.0)))
     closed = sqrt(leg * leg + 1.0 - 2.0 * leg * cos(radians(80.0)))
@@ -327,10 +328,10 @@ def check_apex_degeneracy(params: dict, seed: int):
     pts = tri150.as_array()
     witness_val = max(1.0, max(float(np.linalg.norm(q - p)) for p in pts))
     unit_ok = abs(float(np.linalg.norm(q - pts[0])) - 1.0) <= 1e-9
-    boundary = witness_val <= 1.0 + 1e-6 and unit_ok
+    boundary = witness_val <= 1.0 + REFUTE_TOLERANCE and unit_ok
 
     acute = realize(simplex_from_sides([0.9, 0.95, 1.0]))
-    rep = degeneracy_evidence(acute, 1, restarts=1, seed=seed)
+    rep = degeneracy_evidence(acute, 1, seed=seed)
     refuted = rep["overall"] == "refuted"
 
     ok = supported and boundary and refuted and closed_ok
@@ -351,7 +352,7 @@ def check_corner_star_extension(params: dict, seed: int):
     worst = float(values.max(initial=-np.inf))
     witness_ok = worst < 0.5
 
-    adv = far_pair_adversary(restarts=1, seed=seed)
+    adv = far_pair_adversary(seed=seed)
     adv_ok = adv["upper_bound"] < 0.5 - 1e-3
     # the adversary reads the star's extension: |p_i - e_j|^2 = 3 - 2 x_i(j)
     ext_value = sqrt(3.0 - 2.0 * adv["best_max_min"])

@@ -269,6 +269,25 @@ def test_t5_witness_cli(capsys):
     assert doc["dim"] == STAR_DIM
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_t5_witness_without_trials_writes_strict_json(capsys):
+    # no trial used to print "min_coordinate": Infinity
+    code = main(["t5-witness", "--trials", "0"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 0 and doc["trials"] == 0 and doc["ok"]
+    assert doc["min_coordinate"] is None and doc["max_coordinate"] is None
+
+
+def test_non_finite_result_is_refused():
+    from diamray.cli import CliError, _emit
+
+    with pytest.raises(CliError, match="not valid JSON"):
+        _emit({"value": float("inf")}, None)
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

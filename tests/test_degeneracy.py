@@ -303,11 +303,10 @@ def _central_difference(f, A, h=1e-6):
 
 def _two_problems():
     """The affine forms of the corner-star and apex-160 extensions."""
-    from diamray.degeneracy import _extension_minimax
+    from diamray.degeneracy import _Extension
 
-    return [_extension_minimax(extension_problem(cube_corner_set(), 0, 3))[0],
-            _extension_minimax(extension_problem(
-                isosceles_apex_triangle(160.0), 0, 1))[0]]
+    return [_Extension(extension_problem(cube_corner_set(), 0, 3)),
+            _Extension(extension_problem(isosceles_apex_triangle(160.0), 0, 1))]
 
 
 @pytest.mark.parametrize("multipliers", [np.zeros(4), np.full(4, np.nan),
@@ -330,6 +329,25 @@ def test_surrogate_gradients_match_central_differences(beta):
             _, grad = prob.surrogate(A, beta)
             want = _central_difference(lambda a: prob.surrogate(a, beta)[0], A)
             assert np.abs(grad - want).max() <= 1e-7
+
+
+def test_objective_is_the_reported_largest_value():
+    from diamray.degeneracy import _Extension, _frame
+
+    rng = np.random.default_rng(15)
+    problems = _two_problems() + [_Extension(prob) for prob
+                                  in _random_extension_problems(0)]
+    for prob in problems:
+        for _ in range(3):
+            Q = _frame(rng.standard_normal(prob.G.shape[1:]))[0]
+            want = prob.report(prob.values(Q).max())
+            assert abs(prob.objective(Q) - want) <= 1e-14 * want
+
+
+def test_corner_star_degenerate_at_the_default_start():
+    rep = degeneracy_evidence(cube_corner_set(), 3)
+    assert rep["overall"] == "degenerate-evidence"
+    assert all(a["certified"] for a in rep["anchors"])
 
 
 def test_polish_jacobians_match_central_differences():

@@ -80,6 +80,14 @@ def test_product_diameter_additivity():
     single = PointSet.exact([[7]])
     prod = cartesian_product(tri, single)
     assert find_congruence(prod, tri) is not None
+    # three sets at once: mixed radix, the last set fastest, diameters add
+    pair = PointSet.from_floats([[0.0], [0.5]])
+    triple = cartesian_product(square, single, pair)
+    assert not triple.is_exact and len(triple) == 8
+    assert triple.points[:3] == ((0.0, 0.0, 7.0, 0.0), (0.0, 0.0, 7.0, 0.5),
+                                 (0.0, 1.0, 7.0, 0.0))
+    assert triple == cartesian_product(cartesian_product(square, single), pair)
+    assert diameter(triple).value == pytest.approx(1.5)
 
 
 def test_three_segment_brick_all_pairs():
