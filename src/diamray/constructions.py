@@ -227,15 +227,16 @@ def _float_sq(x_sq, side) -> float:
 PSD_TOLERANCE = 1e-8
 
 
-def _from_gram(G: np.ndarray) -> list:
-    """One point set per Gram matrix in the stack G (k x m x m): vertex 0 at
-    the origin and vertex i + 1 at row i of a factor of the matrix, one
-    coordinate per eigenvalue above PSD_TOLERANCE times the largest, in
-    decreasing order (ties in eigh's order). One eigh call factors the whole
-    stack and gives each matrix the bits of a call of its own."""
+def _gram_coords(G: np.ndarray) -> list:
+    """One coordinate array per Gram matrix in the stack G (k x m x m), of
+    m + 1 rows: vertex 0 at the origin and vertex i + 1 at row i of a factor
+    of the matrix, one column per eigenvalue above PSD_TOLERANCE times the
+    largest, in decreasing order (ties in eigh's order). One eigh call
+    factors the whole stack and gives each matrix the bits of a call of its
+    own. An empty matrix gives the one point [0.0]."""
     if not G.shape[-1]:
-        return [PointSet.from_floats([[0.0]]) for _ in G]
-    sets = []
+        return [np.zeros((1, 1)) for _ in G]
+    coords = []
     for w, V in zip(*np.linalg.eigh(G)):
         scale = w.max()
         if not scale > 0:
@@ -245,9 +246,14 @@ def _from_gram(G: np.ndarray) -> list:
             raise NonRealizableError(float(w.min()))
         keep = np.argsort(-w, kind="stable")
         keep = keep[w[keep] > PSD_TOLERANCE * scale]
-        coords = V[:, keep] * np.sqrt(w[keep])
-        sets.append(PointSet.from_floats([[0.0] * len(keep)] + coords.tolist()))
-    return sets
+        x = V[:, keep] * np.sqrt(w[keep])
+        coords.append(np.vstack((np.zeros(len(keep)), x)))
+    return coords
+
+
+def _from_gram(G: np.ndarray) -> list:
+    """One point set per Gram matrix in the stack G (see `_gram_coords`)."""
+    return [PointSet.from_floats(c.tolist()) for c in _gram_coords(G)]
 
 
 def realize(spec: SimplexSpec) -> PointSet:

@@ -394,7 +394,10 @@ def _apex_configurations(rng: np.random.Generator, n: int, dim: int,
     passing configurations come back, column-major: p1, p2 and p3 with
     `dim` rows each. Draws of (n, dim) and (n, 1) arrays are read through
     .T, and norms add coordinates in sequence, as numpy's row reductions
-    do for dim <= 7, so every value is the row-major one bit for bit.
+    do for dim <= 7, so every value is the row-major one bit for bit. The
+    kept columns are gathered with np.take, which returns C-ordered rows:
+    p[:, keep] returns an F-ordered copy, and every row reduction after it
+    strides.
     """
 
     def directions():
@@ -411,7 +414,7 @@ def _apex_configurations(rng: np.random.Generator, n: int, dim: int,
     radius = _norms(p1)
     keep = np.flatnonzero((_norms(p2) <= radius) & (_norms(p3) <= radius)
                           & (radius <= _norms(p2 - p3)))
-    return p1[:, keep], p2[:, keep], p3[:, keep]
+    return tuple(np.take(p, keep, axis=1) for p in (p1, p2, p3))
 
 
 def apex_angle_audit(trials: int = 100000, seed: int = 0) -> dict:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import isfinite, isqrt, prod, sqrt
 from operator import index
 
@@ -140,11 +140,11 @@ class PointSet:
             if len(set(self.points)) != len(self.points):
                 raise ValueError("duplicate points")
             return
-        for i, p in enumerate(self.points):
-            if not all(map(isfinite, p)):
-                raise ValueError(f"point {i} has a non-finite coordinate")
         tol, pts, n = self.tolerance, self.points, len(self.points)
-        order = sorted(range(n), key=lambda k: pts[k][0])
+        if not all(map(isfinite, chain.from_iterable(pts))):
+            i = next(i for i, p in enumerate(pts) if not all(map(isfinite, p)))
+            raise ValueError(f"point {i} has a non-finite coordinate")
+        order = sorted(range(n), key=[p[0] for p in pts].__getitem__)
         pairs = []
         for s in range(n - 1):
             p = pts[order[s]]
@@ -168,7 +168,7 @@ class PointSet:
     @classmethod
     def from_floats(cls, points, labels=None,
                     tolerance: float = DEFAULT_TOLERANCE) -> "PointSet":
-        pts = tuple(tuple(float(x) for x in p) for p in points)
+        pts = tuple(tuple(map(float, p)) for p in points)
         return cls(pts, FLOAT, tuple(labels) if labels else None, tolerance)
 
     @property
@@ -399,18 +399,30 @@ def _pattern_order(rows) -> list:
     return sorted(range(len(rows)), key=lambda i: (-distinct[i], i))
 
 
+# entries of one (keys, n, n) comparison in _near_bitsets: about 8 MB per
+# float64 temporary, where a 15-key block on 2,000 points would take 480 MB
+_NEAR_BLOCK = 1 << 20
+
+
 def _near_bitsets(D: np.ndarray, keys, eps) -> list:
     """near[h][x]: bitset of the host points at squared distance x from h.
 
     x matches a host distance y by `_same_distance` with eps (equality at
-    eps = 0), applied to the whole matrix D at once.
+    eps = 0). One broadcast compares a block of k keys with the whole
+    n x n matrix D, k the largest with k * n^2 <= _NEAR_BLOCK but at least
+    1, so a host of more than 1,024 points compares one key at a time. A
+    block with an exact key past int64 is compared as Python ints.
     """
+    keys = list(keys)
     near = [dict.fromkeys(keys, 0) for _ in range(len(D))]
-    for x in keys:
-        hit = np.abs(D - x) <= eps * np.maximum(D, x)
-        packed = np.packbits(hit, axis=1, bitorder="little")
-        for h in np.flatnonzero(packed.any(axis=1)):
-            near[h][x] = int.from_bytes(packed[h].tobytes(), "little")
+    step = max(1, _NEAR_BLOCK // D.size)
+    for s in range(0, len(keys), step):
+        block = keys[s:s + step]
+        X = np.array(block)[:, None, None]
+        hit = np.abs(D - X) <= eps * np.maximum(D, X)
+        packed = np.packbits(hit, axis=2, bitorder="little")
+        for k, h in np.argwhere(packed.any(axis=2)).tolist():
+            near[h][block[k]] = int.from_bytes(packed[k, h].tobytes(), "little")
     return near
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .coloring import Coloring, colorable
 from .constructions import (
     SimplexSpec,
-    _from_gram,
+    _gram_coords,
     _regular_grams,
     realize,
     regular_simplex,
@@ -234,24 +234,24 @@ def _product_witness(side_sq, details) -> EmbeddingWitness:
     def simplices(m, squares):
         # side * side rounds the side's exact square, as regular_simplex does
         sides = [sqrt(float(x)) for x in squares]
-        return _from_gram(_regular_grams(m, [s * s for s in sides]))
+        return _gram_coords(_regular_grams(m, [s * s for s in sides]))
 
     kept = [p for p, x in x_sq.items() if x > 0]
     dropped = ([] if a_sq > 0 else ["core"]) + [
         f"pair{p}" for p, x in x_sq.items() if x == 0]
     stacks = [simplices(n, [a_sq] if a_sq > 0 else []),
               simplices(n - 1, [x_sq[p] for p in kept])]
-    factors = stacks[0] + stacks[1]
+    coords = stacks[0] + stacks[1]
+    factors = [PointSet.from_floats(c.tolist()) for c in coords]
     columns = [range(n)] * len(stacks[0])
     for i, j in kept:
         others = iter(range(1, n - 1))
         columns.append([0 if k in (i, j) else next(others) for k in range(n)])
-    corners = tuple(zip(*columns))
-    embedded = PointSet.from_floats(
-        [sum((f.points[c] for f, c in zip(factors, col)), ()) for col in corners])
+    embedded = PointSet.from_floats(np.concatenate(
+        [c[list(col)] for c, col in zip(coords, columns)], axis=1).tolist())
     # each factor's diameter as `diameter` measures it, one stack per size
-    diams = [sqrt(float(d)) for stack in stacks if stack for d in
-             _sq_dists(np.array([f.points for f in stack])).max(axis=(1, 2))]
+    diams = [sqrt(float(d)) for stack in stacks if stack
+             for d in _sq_dists(np.array(stack)).max(axis=(1, 2))]
     measured_diam_sq = sum(d ** 2 for d in diams)
     host = idx = None
     shape = [len(f) for f in factors]
@@ -333,7 +333,10 @@ def near_regular_simplex_embedding(spec: SimplexSpec,
     side_sq = spec.side_sq
     m = max(side_sq[i][j] for i, j in pairs)
     if normalize:
-        side_sq = tuple(tuple(x / m for x in row) for row in side_sq)
+        scaled = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in pairs:
+            scaled[i][j] = scaled[j][i] = side_sq[i][j] / m
+        side_sq = tuple(map(tuple, scaled))
     elif m != 1:
         raise ValueError("diameter must be 1 when normalize is off")
     total = sum(side_sq[i][j] for i, j in pairs)
@@ -349,7 +352,9 @@ def _gadget_placements(rng, batch: int, dim: int, h: float, K: float) -> tuple:
     m + e1 as 3 rows. Sums over coordinates add them in the order numpy's
     row reductions of a (batch, dim) draw do, so for dim <= 7 every value
     is the row-major one bit for bit: |x|^2 in sequence, |m|^2 as einsum
-    pairs them (even coordinates, then odd)."""
+    pairs them (even coordinates, then odd). The kept columns are gathered
+    with np.take, which returns C-ordered rows: m[:, keep] returns an
+    F-ordered copy, and every row reduction after it strides."""
     x = rng.standard_normal((batch, dim)).T.copy()
     m = x / np.sqrt((x * x).sum(0)) * (sqrt(K * K - 1.0)
                                        * rng.random(batch) ** (1.0 / dim))
@@ -358,7 +363,7 @@ def _gadget_placements(rng, batch: int, dim: int, h: float, K: float) -> tuple:
     sq = (mm + 2.0 * np.stack((-m[0], h * m[1], m[0]))
           + np.array([[1.0], [h * h], [1.0]]))
     keep = np.flatnonzero((sq <= K * K).all(0))
-    return m[:, keep], sq[:, keep]
+    return np.take(m, keep, axis=1), np.take(sq, keep, axis=1)
 
 
 def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
@@ -426,7 +431,7 @@ def obtuse_gadget_audit(K: float = 2.0, trials: int = 100000, seed: int = 0,
         two_sq = 2.0 * sq
         near = (np.abs(two_sq - np.round(two_sq)) < BOUNDARY_TOL).any(0)
         flagged += int(near.sum())
-        cols = np.floor(two_sq).astype(np.int64) % 8
+        cols = np.floor(two_sq).astype(np.int64) & 7  # floor-mod 8
         bad = ~near & (cols == cols[0]).all(0)
         mono += int(bad.sum())
         failures += [dict(zip("abc", (m[:, i] + offsets).tolist()),

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import cos, radians, sin, sqrt
+from math import comb, cos, factorial, radians, sin, sqrt
 
 import numpy as np
 
@@ -406,11 +406,17 @@ def check_mod8_gadget(params: dict, seed: int):
 
 
 def check_kneser_h4_empty(params: dict, seed: int):
+    """Kneser(3,2,3): the 3-subsets of [11], at the diameter when disjoint.
+    The closed forms are the second route: an H3 edge is 9 of the 11
+    elements split into 3 unordered triples, C(11,9) 9!/3!^4 = 15,400 of
+    them, and H4 is empty by pigeonhole, as 4 disjoint triples need 12."""
     P = kneser_points(3, 2, 3)
     G = diameter_graph(P)
     H4 = clique_hypergraph(G, 4)
     H3 = clique_hypergraph(G, 3)
-    ok = len(P) == 165 and H4.n_edges == 0
+    h3_closed = comb(11, 9) * factorial(9) // factorial(3) ** 4
+    ok = (len(P) == 165 and H4.n_edges == 0 and 4 * 3 > 11
+          and H3.n_edges == h3_closed)
     return ok, {"points": len(P), "h3_edges": H3.n_edges,
                 "h4_edges": H4.n_edges}
 

@@ -224,3 +224,21 @@ def test_distance_formula_catches_a_wrong_distance(monkeypatch):
     ok, details = verify.check_partition_distance_formula(verify.FULL, 2024)
     assert not ok and details["mismatches"] > 0
     assert details["pairs_checked"] == want["pairs_checked"]
+
+
+def test_kneser_h4_check_catches_a_lost_h3_edge(monkeypatch):
+    # the closed form C(11,9) 9!/3!^4 = 15,400 is the check's second route:
+    # one H3 edge fewer fails it, and the details report the count found
+    real = verify.clique_hypergraph
+
+    def lossy(G, r):
+        H = real(G, r)
+        if r != 3:
+            return H
+        return type(H).make(H.n_vertices, tuple(H.edges)[1:], H.uniformity)
+
+    ok, want = verify.check_kneser_h4_empty(verify.FULL, 0)
+    assert ok and want == {"points": 165, "h3_edges": 15400, "h4_edges": 0}
+    monkeypatch.setattr(verify, "clique_hypergraph", lossy)
+    ok, details = verify.check_kneser_h4_empty(verify.FULL, 0)
+    assert not ok and details == {**want, "h3_edges": 15399}

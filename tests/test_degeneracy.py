@@ -278,6 +278,15 @@ def test_apex_configurations_satisfy_hypothesis(dim, boundary):
             assert np.abs(np.linalg.norm(p, axis=1) - (1.0 - 1e-12)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("boundary", [False, True])
+def test_apex_configurations_are_c_ordered(boundary):
+    from diamray.degeneracy import _apex_configurations
+
+    # the audit's row reductions read the kept draws along contiguous rows
+    for p in _apex_configurations(np.random.default_rng(0), 4096, 3, boundary):
+        assert p.shape[0] == 3 and p.shape[1] > 100 and p.flags.c_contiguous
+
+
 def test_apex_angle_boundary_witness():
     # apex exactly 150 degrees with q at the circumcenter: hypothesis tight
     tri = isosceles_apex_triangle(150.0)

@@ -22,7 +22,8 @@ from diamray import (
     sq_dist,
     sq_dist_matrix,
 )
-from diamray.geometry import _same_distance
+from diamray import geometry
+from diamray.geometry import _near_bitsets, _same_distance
 
 
 def test_unit_segment_matrix():
@@ -461,3 +462,71 @@ def test_float_diameter_pairs_match_exact_lane(points, log_scale, seed):
     assert info.pairs == exact.pairs == matched
     assert info.near_misses == ()
     assert info.sq == best == pytest.approx(exact.sq * scale * scale, rel=1e-9)
+
+
+def _near_bitsets_per_key(D, keys, eps):
+    # the reference: one numpy pass over D per key
+    near = [dict.fromkeys(keys, 0) for _ in range(len(D))]
+    for x in keys:
+        hit = np.abs(D - x) <= eps * np.maximum(D, x)
+        packed = np.packbits(hit, axis=1, bitorder="little")
+        for h in np.flatnonzero(packed.any(axis=1)):
+            near[h][x] = int.from_bytes(packed[h].tobytes(), "little")
+    return near
+
+
+def _symmetric_from(rng, values, n):
+    D = np.triu(rng.choice(values, (n, n)), 1)
+    return D + D.T
+
+
+def _assert_near_bitsets_match(D, keys, eps):
+    got = _near_bitsets(D, keys, eps)
+    want = _near_bitsets_per_key(D, keys, eps)
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+    return got
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_near_bitsets_match_the_per_key_loop(seed):
+    rng = np.random.default_rng(seed)
+    # float lane: chains of keys 0.4 eps apart, so neighbours match under the
+    # float rule and a chain's ends do not; the host draws from the chains
+    eps = 1e-9
+    chains = [b * (1.0 + 0.4 * eps * np.arange(4)) for b in rng.uniform(0.5, 4.0, 5)]
+    keys = [float(x) for c in chains for x in c] + [7.5]
+    D = _symmetric_from(rng, np.concatenate(chains), 24)
+    near = _assert_near_bitsets_match(D, keys, eps)
+    row = near[0]
+    assert any(row[c[0]] and row[c[0]] != row[c[1]] for c in chains)
+    # exact lane: int64 matrices, and Fractions in object arrays
+    D = _symmetric_from(rng, np.arange(1, 9), 30)
+    assert D.dtype == np.int64
+    _assert_near_bitsets_match(D, set(range(12)), 0)
+    fracs = [Fraction(k, 3) for k in range(1, 8)]
+    D = _symmetric_from(rng, np.array(fracs, dtype=object), 12)
+    assert D.dtype == object
+    _assert_near_bitsets_match(D, set(fracs) | {Fraction(0), Fraction(9, 2)}, 0)
+
+
+def test_near_bitsets_split_a_large_host_into_blocks():
+    rng = np.random.default_rng(5)
+    keys = [float(k) for k in range(1, 21)]
+    D = _symmetric_from(rng, np.array(keys), 400)
+    # 20 keys over a 400-point host take 4 blocks
+    assert len(keys) > 3 * (geometry._NEAR_BLOCK // D.size)
+    _assert_near_bitsets_match(D, keys, 1e-9)
+
+
+def test_congruence_with_pattern_distances_past_int64():
+    # the pattern's squared distances, 2^81, pass int64 and the host's do
+    # not; the keys are compared as Python ints, where they used to overflow
+    big = PointSet.exact([(0, 0), (2 ** 40, 0), (0, 2 ** 40)])
+    small = PointSet.exact([(0, 0), (1, 0), (0, 1)])
+    assert find_congruence(big, small) is None
+    D = sq_dist_matrix(small)
+    assert D.dtype == np.int64
+    assert _near_bitsets(D, [0, 1, 2, 2 ** 81], 0) == [
+        {0: 0b001, 1: 0b110, 2: 0, 2 ** 81: 0},
+        {0: 0b010, 1: 0b001, 2: 0b100, 2 ** 81: 0},
+        {0: 0b100, 1: 0b001, 2: 0b010, 2 ** 81: 0}]

@@ -591,15 +591,64 @@ def test_gadget_audit_deterministic_and_guarded():
     assert (rep["trials"], rep["attempts"]) == (2000, 212992)
 
 
+# the failures lists of the first two pinned gadget cases, as the row-major
+# sampler wrote them; each entry reads one gathered column of m
+_GADGET_FAILURES_SEED11 = [
+    {"a": [-0.9783548509116967, 1.6644763175958697, -0.35961886339217425],
+     "b": [0.021645149088303253, 1.836604257459393, -0.35961886339217425],
+     "c": [1.0216451490883032, 1.6644763175958697, -0.35961886339217425],
+     "color": 7},
+    {"a": [-0.9888915223272501, 1.5420739286749432, -0.2671720961754666],
+     "b": [0.011108477672749912, 1.7142018685384666, -0.2671720961754666],
+     "c": [1.01110847767275, 1.5420739286749432, -0.2671720961754666],
+     "color": 6},
+    {"a": [-1.0124130217606977, 1.6865391672297203, 0.2213243144725112],
+     "b": [-0.01241302176069777, 1.8586671070932437, 0.2213243144725112],
+     "c": [0.9875869782393022, 1.6865391672297203, 0.2213243144725112],
+     "color": 7},
+    {"a": [-0.9969159435475802, 1.5648135129918546, -0.7307743819543056],
+     "b": [0.003084056452419776, 1.736941452855378, -0.7307743819543056],
+     "c": [1.0030840564524197, 1.5648135129918546, -0.7307743819543056],
+     "color": 7},
+    {"a": [-1.0034562205472166, 1.4873014064298191, 0.8654375276795279],
+     "b": [-0.0034562205472165263, 1.6594293462933425, 0.8654375276795279],
+     "c": [0.9965437794527835, 1.4873014064298191, 0.8654375276795279],
+     "color": 7},
+]
+_GADGET_FAILURES_SEED1 = [
+    {"a": [-0.9992867670140846, -0.12303610188598518, -0.11964543437032493],
+     "b": [0.0007132329859154508, 0.9949978868639098, -0.11964543437032493],
+     "c": [1.0007132329859154, -0.12303610188598518, -0.11964543437032493],
+     "color": 2},
+    {"a": [-1.0046678250613845, -0.12005054766054306, -0.08175287479973718],
+     "b": [-0.0046678250613844926, 0.9979834410893519, -0.08175287479973718],
+     "c": [0.9953321749386155, -0.12005054766054306, -0.08175287479973718],
+     "color": 2},
+    {"a": [-0.9963804129862803, -0.10351024055198495, -0.08629230302631227],
+     "b": [0.003619587013719622, 1.01452374819791, -0.08629230302631227],
+     "c": [1.0036195870137197, -0.10351024055198495, -0.08629230302631227],
+     "color": 2},
+    {"a": [-0.9962307986626886, -0.1208153430873131, 0.1107350721052616],
+     "b": [0.0037692013373113536, 0.9972186456625818, 0.1107350721052616],
+     "c": [1.0037692013373114, -0.1208153430873131, 0.1107350721052616],
+     "color": 2},
+    {"a": [-0.9949774607734364, -0.11010874541128743, 0.013714572951643658],
+     "b": [0.005022539226563627, 1.0079252433386074, 0.013714572951643658],
+     "c": [1.0050225392265637, -0.11010874541128743, 0.013714572951643658],
+     "color": 2},
+]
+
+
 @pytest.mark.parametrize("kwargs, expected", [
     ({"K": 2.0, "trials": 100000, "seed": 11, "legs": 1 + 1 / 68},
      {"attempts": 212992, "monochromatic": 31, "first_failure": {
          "a": [-0.9783548509116967, 1.6644763175958697, -0.35961886339217425],
          "b": [0.021645149088303253, 1.836604257459393, -0.35961886339217425],
          "c": [1.0216451490883032, 1.6644763175958697, -0.35961886339217425],
-         "color": 7}}),
+         "color": 7}, "failures": _GADGET_FAILURES_SEED11}),
     ({"K": 1.02, "trials": 2000, "seed": 1, "legs": 1.5},
-     {"attempts": 212992, "monochromatic": 484}),
+     {"attempts": 212992, "monochromatic": 484,
+      "failures": _GADGET_FAILURES_SEED1}),
     ({"dim": 2, "legs": 1.3, "trials": 30000, "seed": 7},
      {"attempts": 65536, "monochromatic": 115}),
 ])
@@ -611,3 +660,13 @@ def test_gadget_audit_reports_are_pinned(kwargs, expected):
     assert rep["monochromatic"] == expected["monochromatic"]
     if "first_failure" in expected:
         assert rep["failures"][0] == expected["first_failure"]
+    if "failures" in expected:
+        assert rep["failures"] == expected["failures"]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7])
+def test_gadget_placements_are_c_ordered(dim):
+    # the audit's row reductions read the kept draws along contiguous rows
+    m, sq = _gadget_placements(np.random.default_rng(dim), 4096, dim, 0.5, 2.0)
+    assert m.shape == (dim, sq.shape[1]) and len(sq) == 3 and sq.shape[1] > 100
+    assert m.flags.c_contiguous and sq.flags.c_contiguous
