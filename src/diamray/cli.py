@@ -194,16 +194,15 @@ def _cmd_degen(args) -> dict:
                                      seed=args.seed)
     except RuntimeError as exc:
         raise CliError(str(exc)) from exc
-    diam = diameter(P).value
     return {
         "schema": 1,
         "anchor": args.anchor,
         "t": args.t,
-        "diameter": diam,
+        "diameter": prob.side,
         "value": res.value,
         "lower": res.lower,
         "certified": res.certified,
-        "excess": res.value - diam,
+        "excess": res.value - prob.side,
         "feasibility_error": res.feasibility_error,
         "restart_values": list(res.restart_values),
         "evaluations": res.evaluations,

@@ -1,35 +1,34 @@
 """Certified optima of the extension problems behind diameter degeneracy.
 
-A set is t-degenerate at an anchor point when every regular t-simplex of
-side diam(P) through that point strictly increases the diameter of the
-union. Placements are parametrized by an orthonormal m x t frame Q (the QR
-factor of a free matrix, signs fixed so diag(R) > 0), so the simplex
-constraints hold to machine precision by construction.
+A set is t-degenerate at an anchor point when every regular t-simplex of side
+diam(P) through that point strictly increases the diameter of the union.
+Placements are parametrized by an orthonormal m x t frame Q (the QR factor of
+a free matrix, signs fixed so diag(R) > 0), so the simplex constraints hold to
+machine precision by construction.
 
-The extension problem (_Extension) minimizes, over frames Q, the largest
-of the affine values c_k - <G_k, Q>, the squared distances from the
-simplex to the base; the far-pair adversary is the corner-star extension
-read in coordinates. One driver (_minimize) runs L-BFGS-B on a softmax of
-the values, at one sharpness relative to the problem's scale, from random
-starts, and one SLSQP polish of the epigraph form, minimize tau subject to
-tau >= c_k - <G_k, Q>, takes the best start to the exact active set. Its
-KKT multipliers, normalised to weights lambda on the simplex, certify the
-optimum by weak duality:
+An ExtensionProblem minimizes, over frames Q, the largest of the affine values
+c_k - <G_k, Q>, the squared distances from the simplex to the base; the
+far-pair adversary is the corner-star extension read in coordinates. One
+driver, min_extension_diameter, runs L-BFGS-B on a softmax of the values, at
+one sharpness relative to the problem's scale, from random starts, and one
+SLSQP polish of the epigraph form, minimize tau subject to
+tau >= c_k - <G_k, Q>, takes the best start to the exact active set. Its KKT
+multipliers, normalised to weights lambda on the simplex, certify the optimum
+by weak duality:
 
     min_Q max_k (c_k - <G_k, Q>) >= lambda.c - ||sum_k lambda_k G_k||_*,
 
 because the nuclear norm is the largest value of <M, Q> over orthonormal
-frames Q. Any lambda gives a valid bound, in every ambient dimension. For
-the extension at ambient dimension rank(W) + t or more (the default
-dim + t is enough) the reachable cross matrices X W^T form a convex set,
-by the dilation of a contraction, so the bound is tight and the polished
-placement meets it. A result is certified when the placement and the bound
-agree to CERTIFY_GAP.
+frames Q. Any lambda gives a valid bound, in every ambient dimension. For the
+extension at ambient dimension rank(W) + t or more (the default dim + t is
+enough) the reachable cross matrices X W^T form a convex set, by the dilation
+of a contraction, so the bound is tight and the polished placement meets it.
+A result is certified when the placement and the bound agree to CERTIFY_GAP.
 
 SUPPORTED verdicts rest on the certified lower bound, not on the number of
 starts, so one start is the default (DEFAULT_RESTARTS), and a result left
-uncertified draws one more; REFUTED verdicts exhibit an explicit
-placement. SciPy is imported on the first optimizer call.
+uncertified draws one more; REFUTED verdicts exhibit an explicit placement.
+SciPy is imported on the first optimizer call.
 """
 
 from __future__ import annotations
@@ -68,39 +67,6 @@ def minimize(*args, **kwargs):
 
 
 @dataclass(frozen=True)
-class ExtensionProblem:
-    """Placement problem: regular t-simplex through one anchor of the base."""
-
-    base: PointSet
-    anchor: int
-    t: int
-    ambient_dim: int
-    side: float
-
-    def __post_init__(self):
-        if not 0 <= self.anchor < len(self.base):
-            raise ValueError("anchor out of range")
-        if self.t < 1:
-            raise ValueError("need t >= 1")
-        # the ambient space must hold the base and a t-dimensional simplex;
-        # dim(base) + t (the default) buys the simplex full freedom but
-        # smaller ambients are legitimate, just more constrained
-        if self.ambient_dim < max(self.base.dim, self.t):
-            raise ValueError("ambient dimension cannot hold base and simplex")
-        if self.side <= 0:
-            raise ValueError("side must be positive")
-
-
-def extension_problem(base: PointSet, anchor: int, t: int,
-                      ambient_dim: int | None = None) -> ExtensionProblem:
-    """Build an ExtensionProblem of side diam(base), in dimension dim + t
-    unless stated."""
-    if ambient_dim is None:
-        ambient_dim = base.dim + t
-    return ExtensionProblem(base, anchor, t, ambient_dim, diameter(base).value)
-
-
-@dataclass(frozen=True)
 class ExtensionResult:
     value: float
     simplex: PointSet
@@ -133,33 +99,49 @@ def _frame_pullback(Q: np.ndarray, R: np.ndarray,
     return np.swapaxes(np.linalg.solve(R, np.swapaxes(X, -1, -2)), -1, -2)
 
 
-class _Extension:
-    """The extension problem in affine form: minimize, over orthonormal
-    m x t frames Q, the largest value c_k - <G_k, Q>.
+class ExtensionProblem:
+    """Placement problem: a regular t-simplex of side diam(base) through base
+    point `anchor`, in dimension `ambient_dim` (dim + t unless stated).
 
-    With anchor a, free vertices p_i = a + Q F_i for the rows F_i of the
-    anchored simplex, and base vectors w_j = b_j - a, the squared distance
-    |p_i - b_j|^2 is c_ij - <G_ij, Q> with c_ij = |F_i|^2 + |w_j|^2 and
-    G_ij = 2 w_j F_i^T. objective(Q) is the union's diameter, never below
-    `floor` = diam(base), and report(v) maps a squared distance v onto that
-    scale, monotonely; objective(Q) is report(values(Q).max()) up to
-    rounding. `scale` (side^2) is the problem's unit of value: the softmax
-    runs at sharpness beta / scale.
+    In affine form it minimizes, over orthonormal m x t frames Q, the largest
+    value c_k - <G_k, Q>. With `origin` = a, the anchor's row of the base
+    `points` padded to m coordinates, free vertices p_i = a + Q F_i for the
+    rows F_i of the anchored simplex, and base vectors w_j = b_j - a, the
+    squared distance |p_i - b_j|^2 is c_ij - <G_ij, Q> with
+    c_ij = |F_i|^2 + |w_j|^2 and G_ij = 2 w_j F_i^T. objective(Q) is the
+    union's diameter, never below `side` = diam(base), and report(v) maps a
+    squared distance v onto that scale, monotonely; objective(Q) is
+    report(values(Q).max()) up to rounding. `scale` (side^2) is the
+    problem's unit of value: the softmax runs at sharpness beta / scale.
     """
 
-    def __init__(self, prob: ExtensionProblem):
-        m, t = prob.ambient_dim, prob.t
-        self.base = np.zeros((len(prob.base), m))
-        self.base[:, :prob.base.dim] = prob.base.as_array()
-        self.anchor = self.base[prob.anchor]
-        self.F = _anchored_frame(t, prob.side)
-        self.side, self.scale = prob.side, prob.side ** 2
-        self.floor = max(prob.side, diameter(prob.base).value)
-        W = self.base - self.anchor
+    def __init__(self, base: PointSet, anchor: int, t: int,
+                 ambient_dim: int | None = None):
+        if ambient_dim is None:
+            ambient_dim = base.dim + t
+        if not 0 <= anchor < len(base):
+            raise ValueError("anchor out of range")
+        if t < 1:
+            raise ValueError("need t >= 1")
+        # the ambient space must hold the base and a t-dimensional simplex;
+        # dim(base) + t (the default) buys the simplex full freedom but
+        # smaller ambients are legitimate, just more constrained
+        if ambient_dim < max(base.dim, t):
+            raise ValueError("ambient dimension cannot hold base and simplex")
+        side = diameter(base).value
+        if side <= 0:
+            raise ValueError("side must be positive")
+        self.base, self.anchor, self.t = base, anchor, t
+        self.ambient_dim, self.side, self.scale = ambient_dim, side, side ** 2
+        self.points = np.zeros((len(base), ambient_dim))
+        self.points[:, :base.dim] = base.as_array()
+        self.origin = self.points[anchor]
+        self.F = _anchored_frame(t, side)
+        W = self.points - self.origin
         self.c = ((self.F * self.F).sum(axis=1)[:, None]
                   + (W * W).sum(axis=1)[None, :]).ravel()
         self.G = (2.0 * W[None, :, :, None]
-                  * self.F[:, None, None, :]).reshape(-1, m, t)
+                  * self.F[:, None, None, :]).reshape(-1, ambient_dim, t)
 
     def values(self, Q: np.ndarray) -> np.ndarray:
         return self.c - self.G.reshape(len(self.c), -1) @ Q.ravel()
@@ -194,17 +176,24 @@ class _Extension:
 
     def simplex(self, Q: np.ndarray) -> np.ndarray:
         """The simplex's vertices at frame Q, the anchor first."""
-        return np.vstack([self.anchor, self.anchor + self.F @ Q.T])
+        return np.vstack([self.origin, self.origin + self.F @ Q.T])
 
     def objective(self, Q: np.ndarray) -> float:
-        diff = self.simplex(Q)[1:, None, :] - self.base[None, :, :]
-        return max(self.floor, float(np.sqrt((diff * diff).sum(axis=2)).max()))
+        diff = self.simplex(Q)[1:, None, :] - self.points[None, :, :]
+        return max(self.side, float(np.sqrt((diff * diff).sum(axis=2)).max()))
 
     def report(self, v: float) -> float:
-        return max(self.floor, sqrt(max(v, 0.0)))
+        return max(self.side, sqrt(max(v, 0.0)))
 
 
-def _epigraph_polish(prob: _Extension, A0: np.ndarray) -> tuple:
+def extension_problem(base: PointSet, anchor: int, t: int,
+                      ambient_dim: int | None = None) -> ExtensionProblem:
+    """Build an ExtensionProblem of side diam(base), in dimension dim + t
+    unless stated."""
+    return ExtensionProblem(base, anchor, t, ambient_dim)
+
+
+def _epigraph_polish(prob: ExtensionProblem, A0: np.ndarray) -> tuple:
     """Minimize the largest of prob.values(Q) over frames Q = _frame(A) by
     SLSQP.
 
@@ -260,18 +249,23 @@ def _certified(lower: float, upper: float) -> bool:
     return upper - lower <= CERTIFY_GAP * max(1.0, abs(upper))
 
 
-def _minimize(prob: _Extension, restarts: int,
-              rng: np.random.Generator) -> ExtensionResult:
-    """Minimize prob.objective over frames; the one optimizer driver.
+def min_extension_diameter(prob: ExtensionProblem,
+                           restarts: int = DEFAULT_RESTARTS,
+                           seed: int = 0) -> ExtensionResult:
+    """Smallest found diameter of base union an anchored regular t-simplex.
 
-    Each start draws A from rng.standard_normal(m * t) and runs L-BFGS-B on
-    the softmax surrogate at _BETA. The best start by the true objective is
-    polished on the epigraph form, the better of start and polish is kept,
-    and the polish's multipliers weight the duality bound. When the bound
-    and the objective do not meet, one more start is drawn from the same
-    generator and polished, and the smaller objective and the larger bound
-    are kept.
+    Each start draws A from default_rng(seed).standard_normal(m * t) and runs
+    L-BFGS-B on the softmax surrogate at _BETA. The best start by the true
+    objective is polished on the epigraph form, the better of start and
+    polish is kept, and the polish's multipliers weight the duality bound.
+    When the bound and the objective do not meet, one more start is drawn
+    from the same generator and polished, and the smaller objective and the
+    larger bound are kept. The value, an upper bound on the true minimum,
+    never drops below diam(base); `lower` is the duality bound beneath it.
+    The placement is feasible to machine precision by the frame
+    parametrization.
     """
+    rng = np.random.default_rng(seed)
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
     m, t = prob.G.shape[1:]
@@ -320,19 +314,6 @@ def _minimize(prob: _Extension, restarts: int,
                            evaluations=calls + evaluations,
                            gradients=calls + jacobians, lower=lower,
                            certified=_certified(lower, best_val))
-
-
-def min_extension_diameter(prob: ExtensionProblem,
-                           restarts: int = DEFAULT_RESTARTS,
-                           seed: int = 0) -> ExtensionResult:
-    """Smallest found diameter of base union an anchored regular t-simplex.
-
-    The returned value, from the placement that _minimize finds, is an upper
-    bound on the true minimum and never drops below diam(base); `lower` is
-    the duality bound beneath it. The placement is feasible to machine
-    precision by the frame parametrization.
-    """
-    return _minimize(_Extension(prob), restarts, np.random.default_rng(seed))
 
 
 def degeneracy_evidence(P: PointSet, t: int, margin: float = SUPPORT_MARGIN,
@@ -555,7 +536,8 @@ def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> dict:
     value v, is a lower bound on the optimum and `upper_bound`, the same
     reading of the duality bound, an upper one. Both stay below 1/2, which
     is exactly why appending such a tetrahedron to the cube-corner star
-    always stretches some distance past sqrt(2).
+    always stretches some distance past sqrt(2). `extension_value` and
+    `extension_lower` are the extension's own value and bound, unread.
     """
     res = min_extension_diameter(extension_problem(cube_corner_set(), 0, 3),
                                  restarts, seed)
@@ -573,4 +555,6 @@ def far_pair_adversary(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> dict:
         "gradients": res.gradients,
         "upper_bound": max_min(res.lower),
         "certified": res.certified,
+        "extension_value": res.value,
+        "extension_lower": res.lower,
     }

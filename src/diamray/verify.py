@@ -354,9 +354,7 @@ def check_corner_star_extension(params: dict, seed: int):
 
     adv = far_pair_adversary(seed=seed)
     adv_ok = adv["upper_bound"] < 0.5 - 1e-3
-    # the adversary reads the star's extension: |p_i - e_j|^2 = 3 - 2 x_i(j)
-    ext_value = sqrt(3.0 - 2.0 * adv["best_max_min"])
-    ext_lower = sqrt(3.0 - 2.0 * adv["upper_bound"])
+    ext_value, ext_lower = adv["extension_value"], adv["extension_lower"]
     ext_ok = ext_lower > sqrt(2.0) + 1e-3
 
     # second route: the adversary's optimum sqrt(2)/3, and the extension's

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from diamray import (
+    ExtensionProblem,
     PointSet,
     apex_angle_audit,
     circumcenter,
@@ -140,6 +141,41 @@ def test_extension_problem_validation():
         extension_problem(star, 0, 0)
     with pytest.raises(ValueError):
         extension_problem(star, 0, 3, ambient_dim=5)
+
+
+def test_extension_problem_built_directly_matches_the_builder():
+    P = isosceles_apex_triangle(160.0)
+    direct, built = ExtensionProblem(P, 1, 2), extension_problem(P, 1, 2)
+    assert direct.side == built.side == diameter(P).value
+    assert direct.ambient_dim == built.ambient_dim == P.dim + 2
+    assert np.array_equal(direct.c, built.c)
+    assert np.array_equal(direct.G, built.G)
+
+
+def test_a_solve_leaves_its_problem_unchanged():
+    prob = extension_problem(isosceles_apex_triangle(160.0), 0, 1)
+    before = {name: getattr(prob, name).copy()
+              for name in ("c", "G", "F", "points")}
+    first = min_extension_diameter(prob, seed=0)
+    assert min_extension_diameter(prob, seed=0) == first
+    for name, array in before.items():
+        assert np.array_equal(getattr(prob, name), array), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_adversary_reports_the_extension_it_reads(seed):
+    from diamray.verify import check_corner_star_extension
+
+    rep = far_pair_adversary(seed=seed)
+    res = min_extension_diameter(extension_problem(cube_corner_set(), 0, 3),
+                                 seed=seed)
+    v, lower = rep["extension_value"], rep["extension_lower"]
+    assert (v, lower) == (res.value, res.lower)
+    assert rep["best_max_min"] == (3 - v * v) / 2
+    assert rep["upper_bound"] == (3 - lower * lower) / 2
+    _, details = check_corner_star_extension({"witness_trials": 10}, seed)
+    assert details["extension_value"] == v
+    assert details["extension_lower"] == lower
 
 
 def test_far_pair_witness_off_axis_trivial():
@@ -312,10 +348,8 @@ def _central_difference(f, A, h=1e-6):
 
 def _two_problems():
     """The affine forms of the corner-star and apex-160 extensions."""
-    from diamray.degeneracy import _Extension
-
-    return [_Extension(extension_problem(cube_corner_set(), 0, 3)),
-            _Extension(extension_problem(isosceles_apex_triangle(160.0), 0, 1))]
+    return [extension_problem(cube_corner_set(), 0, 3),
+            extension_problem(isosceles_apex_triangle(160.0), 0, 1)]
 
 
 @pytest.mark.parametrize("multipliers", [np.zeros(4), np.full(4, np.nan),
@@ -341,11 +375,10 @@ def test_surrogate_gradients_match_central_differences(beta):
 
 
 def test_objective_is_the_reported_largest_value():
-    from diamray.degeneracy import _Extension, _frame
+    from diamray.degeneracy import _frame
 
     rng = np.random.default_rng(15)
-    problems = _two_problems() + [_Extension(prob) for prob
-                                  in _random_extension_problems(0)]
+    problems = _two_problems() + list(_random_extension_problems(0))
     for prob in problems:
         for _ in range(3):
             Q = _frame(rng.standard_normal(prob.G.shape[1:]))[0]

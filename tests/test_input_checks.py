@@ -75,7 +75,14 @@ _CASES = {
         lambda: right_triangle_embedding(0, 0),
     "need at least two vertices":
         lambda: near_regular_simplex_embedding(SimplexSpec(((0,),))),
-    # degeneracy: a one-point base has diameter 0
+    # degeneracy
+    "anchor out of range":
+        lambda: extension_problem(PointSet.exact([[0], [1]]), 2, 1),
+    "need t >= 1": lambda: extension_problem(PointSet.exact([[0], [1]]), 0, 0),
+    "ambient dimension cannot hold base and simplex":
+        lambda: extension_problem(PointSet.exact([[0, 0], [1, 0]]), 0, 3,
+                                  ambient_dim=2),
+    # a one-point base has diameter 0
     "side must be positive":
         lambda: extension_problem(PointSet.exact([[0]]), 0, 1),
     "pair 0,1 is not at squared distance 2": _not_a_star,
